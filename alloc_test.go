@@ -15,26 +15,29 @@ import (
 	"repro/internal/wal"
 )
 
-// TestSegmentedAlignAllocs pins the steady-state batch alignment at one
-// allocation per call: the caller-owned Path copy. The DP matrix, the flat
-// operand arrays, and the traceback scratch all recycle through the pooled
-// aligner — any new per-call allocation in the fill or traceback doubles
-// this count.
+// TestSegmentedAlignAllocs pins a one-shot alignment — a fresh aligner
+// over a shared reference, aligned once and Released, the way batch
+// localization runs each tag — at the aligner's own small fixed set of
+// allocations: the struct and its per-row cost, last-row and path
+// scratch. The O(m·n) DP matrix recycles through the cell free-list, so
+// a regression that drops the recycling or adds per-column garbage in the
+// fill or traceback blows far past this count.
 func TestSegmentedAlignAllocs(t *testing.T) {
 	det, p := benchProfilePair(t)
 	ref, _, _ := det.Reference()
-	rs := ref.Segmentize(5)
+	shared := dtw.NewReference(ref.Segmentize(5), dtw.SegmentAlignOpts{Stiffness: 0.5})
 	qs := p.Segmentize(5)
-	opts := dtw.SegmentAlignOpts{Stiffness: 0.5}
-	// Warm the aligner pool and the cell free-list to steady state.
-	for i := 0; i < 4; i++ {
-		dtw.AlignSegmentsOpenEndOpt(rs, qs, opts)
+	once := func() {
+		al := dtw.NewSharedAligner(shared)
+		al.Align(qs)
+		al.Release()
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		dtw.AlignSegmentsOpenEndOpt(rs, qs, opts)
-	})
-	if allocs > 1 {
-		t.Fatalf("AlignSegmentsOpenEndOpt allocates %.1f/op, want <= 1", allocs)
+	// Warm the cell free-list to steady state.
+	for i := 0; i < 4; i++ {
+		once()
+	}
+	if allocs := testing.AllocsPerRun(50, once); allocs > 4 {
+		t.Fatalf("one-shot alignment allocates %.1f/op, want <= 4", allocs)
 	}
 }
 

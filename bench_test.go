@@ -124,15 +124,21 @@ func BenchmarkDetectFullDTW(b *testing.B) {
 	}
 }
 
+// BenchmarkSegmentedAlign times one whole segment alignment the way batch
+// localization runs it per tag: a fresh aligner over the shared
+// reference, one Align over the full query, and Release handing the DP
+// matrix back to the free-list.
 func BenchmarkSegmentedAlign(b *testing.B) {
 	det, p := benchProfilePair(b)
 	ref, _, _ := det.Reference()
-	rs := ref.Segmentize(5)
+	shared := dtw.NewReference(ref.Segmentize(5), dtw.SegmentAlignOpts{Stiffness: 0.5})
 	qs := p.Segmentize(5)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dtw.AlignSegmentsOpenEndOpt(rs, qs, dtw.SegmentAlignOpts{Stiffness: 0.5})
+		al := dtw.NewSharedAligner(shared)
+		al.Align(qs)
+		al.Release()
 	}
 }
 
@@ -189,7 +195,8 @@ func BenchmarkBlockedDetect(b *testing.B) {
 	}
 	out := make([]stpp.TagResult, len(ps))
 	reads, cells := 0, 0.0
-	refSegs := float64(loc.Detector().RefSegments())
+	ref, _, _ := loc.Detector().Reference()
+	refSegs := float64(len(ref.Segmentize(cfg.Window)))
 	for _, p := range ps {
 		reads += p.Len()
 		cells += refSegs * float64(len(p.Segmentize(cfg.Window)))

@@ -26,7 +26,6 @@ import (
 	"sort"
 
 	"repro/internal/epcgen2"
-	"repro/internal/par"
 	"repro/internal/pipeline"
 	"repro/internal/reader"
 	"repro/internal/scenario"
@@ -157,10 +156,6 @@ type Options struct {
 	// Group tags the deployment's scheduler work for fairness accounting.
 	// Nil uses the scheduler's default group.
 	Group *sched.Group
-	// DetectBlockBytes is each shard engine's cache budget for the
-	// blocked detection kernel (pipeline.Options.DetectBlockBytes);
-	// 0 uses the pipeline default.
-	DetectBlockBytes int
 	// Finalize enables the tag lifecycle across the deployment. Shard
 	// engines run with emission held — they propose conclusive tags but
 	// never emit or evict on their own; the sharded engine finalizes a
@@ -231,11 +226,10 @@ func NewSharded(d Deployment, opts Options) (*ShardedEngine, error) {
 	}
 	for _, spec := range d.Readers {
 		eng, err := pipeline.New(spec.Config, pipeline.Options{
-			Workers:          total,
-			Group:            opts.Group,
-			Finalize:         opts.Finalize,
-			HoldEmission:     true,
-			DetectBlockBytes: opts.DetectBlockBytes,
+			Workers:      total,
+			Group:        opts.Group,
+			Finalize:     opts.Finalize,
+			HoldEmission: true,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("deploy: reader %d: %w", spec.ID, err)
@@ -659,7 +653,7 @@ func (se *ShardedEngine) Snapshot() (*GlobalResult, error) {
 	if se.group != nil {
 		se.group.For(len(refresh), len(refresh), snapOne)
 	} else {
-		par.For(len(refresh), len(refresh), snapOne)
+		sched.Default().For(nil, len(refresh), len(refresh), snapOne)
 	}
 	for i, err := range errs {
 		if err != nil {

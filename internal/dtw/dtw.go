@@ -1,8 +1,9 @@
 // Package dtw implements Dynamic Time Warping: the classic O(MN)
-// dynamic-programming alignment, a Sakoe-Chiba banded variant, open-end
-// subsequence alignment (for locating a short reference pattern inside a
-// long measured profile), and the paper's segment-level coarse DTW that
-// reduces the complexity to O(MN/w^2) (Section 3.1.2 of the STPP paper).
+// dynamic-programming alignment with a Sakoe-Chiba banded variant, and the
+// paper's segment-level coarse DTW that reduces the complexity to
+// O(MN/w^2) (Section 3.1.2 of the STPP paper). The segment DTW is an
+// open-end subsequence alignment — it locates a short reference pattern
+// inside a long measured profile — run by a resumable SegmentAligner.
 package dtw
 
 import (
@@ -194,53 +195,6 @@ func AlignBanded(a, b []float64, d Dist, band int) Result {
 	}
 }
 
-// AlignOpenEnd aligns all of the pattern p against a prefix-to-anywhere
-// window of q starting anywhere: the path may start at any q index and end
-// at any q index, but must consume the whole pattern. This is subsequence
-// DTW, used to locate the reference V-zone inside a measured phase profile.
-// The returned Path indices are (pattern index, q index); MatchStart and
-// MatchEnd report the matched interval in q.
-func AlignOpenEnd(p, q []float64, d Dist) (Result, int, int) {
-	m, n := len(p), len(q)
-	if m == 0 || n == 0 {
-		return Result{}, 0, 0
-	}
-	if d == nil {
-		d = AbsDist
-	}
-	cm := newMatrix(m, n, -1)
-	defer cm.release()
-	for j := 0; j < n; j++ {
-		// Free start: the first pattern sample may match any q sample at
-		// just its pointwise cost.
-		cm.set(0, j, d(p[0], q[j]))
-	}
-	for i := 1; i < m; i++ {
-		for j := 0; j < n; j++ {
-			c := d(p[i], q[j])
-			if j == 0 {
-				cm.set(i, j, c+cm.at(i-1, j))
-				continue
-			}
-			cm.set(i, j, c+min3(cm.at(i-1, j), cm.at(i, j-1), cm.at(i-1, j-1)))
-		}
-	}
-	// Free end: pick the cheapest cell in the last pattern row. Ties prefer
-	// the latest end so zero-cost plateaus match the whole pattern region
-	// rather than a truncated prefix.
-	endJ := 0
-	best := cm.at(m-1, 0)
-	for j := 1; j < n; j++ {
-		if c := cm.at(m-1, j); c <= best {
-			best = c
-			endJ = j
-		}
-	}
-	path := tracebackOpen(cm, m-1, endJ)
-	startJ := path[0].J
-	return Result{Distance: best, Path: path}, startJ, endJ
-}
-
 // traceback reconstructs the optimal path for a standard DTW cost matrix.
 func traceback(cm *costMatrix, i, j int) Path {
 	rev := make(Path, 0, i+j+1)
@@ -265,34 +219,6 @@ func traceback(cm *costMatrix, i, j int) Path {
 			} else {
 				j--
 			}
-		}
-	}
-	reverse(rev)
-	return rev
-}
-
-// tracebackOpen reconstructs the path for the open-start/open-end matrix:
-// it stops as soon as the pattern row reaches 0 (any q column is a valid
-// start).
-func tracebackOpen(cm *costMatrix, i, j int) Path {
-	rev := make(Path, 0, i+j+1)
-	for {
-		rev = append(rev, Step{I: i, J: j})
-		if i == 0 {
-			break
-		}
-		if j == 0 {
-			i--
-			continue
-		}
-		diag, up, left := cm.at(i-1, j-1), cm.at(i-1, j), cm.at(i, j-1)
-		if diag <= up && diag <= left {
-			i--
-			j--
-		} else if up <= left {
-			i--
-		} else {
-			j--
 		}
 	}
 	reverse(rev)

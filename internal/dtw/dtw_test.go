@@ -127,41 +127,6 @@ func TestAlignBandedFallbackWhenDisconnected(t *testing.T) {
 	checkPath(t, r.Path, len(a), len(b))
 }
 
-func TestAlignOpenEndFindsPattern(t *testing.T) {
-	// Pattern embedded in the middle of a longer sequence.
-	q := []float64{5, 5, 5, 1, 2, 3, 2, 1, 5, 5, 5, 5}
-	p := []float64{1, 2, 3, 2, 1}
-	r, start, end := AlignOpenEnd(p, q, nil)
-	if r.Distance != 0 {
-		t.Errorf("embedded distance = %v, want 0", r.Distance)
-	}
-	if start != 3 || end != 7 {
-		t.Errorf("match = [%d,%d], want [3,7]", start, end)
-	}
-}
-
-func TestAlignOpenEndStretchedPattern(t *testing.T) {
-	q := []float64{9, 9, 1, 1, 2, 2, 3, 3, 2, 2, 1, 1, 9, 9}
-	p := []float64{1, 2, 3, 2, 1}
-	r, start, end := AlignOpenEnd(p, q, nil)
-	if r.Distance != 0 {
-		t.Errorf("distance = %v, want 0", r.Distance)
-	}
-	if start > 3 || end < 10 {
-		t.Errorf("match [%d,%d] does not cover the stretched pattern", start, end)
-	}
-	if start < 2 || end > 11 {
-		t.Errorf("match [%d,%d] spills outside the pattern", start, end)
-	}
-}
-
-func TestAlignOpenEndEmpty(t *testing.T) {
-	r, s, e := AlignOpenEnd(nil, []float64{1}, nil)
-	if r.Distance != 0 || s != 0 || e != 0 {
-		t.Errorf("empty open-end = %+v %d %d", r, s, e)
-	}
-}
-
 func TestCustomDist(t *testing.T) {
 	sq := func(a, b float64) float64 { d := a - b; return d * d }
 	a := []float64{0, 10}
@@ -215,30 +180,6 @@ func TestQuickSelfZeroNonNegative(t *testing.T) {
 			return false
 		}
 		return Align(a, b, nil).Distance >= 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Error(err)
-	}
-}
-
-// Property: the open-end match distance never exceeds the full alignment
-// distance (it optimizes over a superset of paths for the same pattern).
-func TestQuickOpenEndUpperBoundedByFull(t *testing.T) {
-	f := func(ra, rb []uint8) bool {
-		if len(ra) == 0 || len(ra) > 30 || len(rb) < len(ra) || len(rb) > 40 {
-			return true
-		}
-		p := make([]float64, len(ra))
-		for i, v := range ra {
-			p[i] = float64(v)
-		}
-		q := make([]float64, len(rb))
-		for i, v := range rb {
-			q[i] = float64(v)
-		}
-		full := Align(p, q, nil).Distance
-		open, _, _ := AlignOpenEnd(p, q, nil)
-		return open.Distance <= full+1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -359,9 +300,9 @@ func TestAlignBandedMatchesDenseExhaustive(t *testing.T) {
 	}
 }
 
-// TestMatrixPoolBalanced: every Align/AlignBanded/AlignOpenEnd return path
-// must release its pooled matrix — including the banded fallback recursion
-// and degenerate inputs. Leaks would show as gets outrunning puts.
+// TestMatrixPoolBalanced: every Align/AlignBanded return path must release
+// its pooled matrix — including the banded fallback recursion and
+// degenerate inputs. Leaks would show as gets outrunning puts.
 func TestMatrixPoolBalanced(t *testing.T) {
 	gets0, puts0 := matrixGets.Load(), matrixPuts.Load()
 	a := []float64{0, 1, 2, 3, 4, 5, 6, 7}
@@ -369,9 +310,7 @@ func TestMatrixPoolBalanced(t *testing.T) {
 	Align(a, b, nil)
 	AlignBanded(a, b, nil, 2)
 	AlignBanded(a, b, nil, 0) // non-integer diagonals: fallback recursion
-	AlignOpenEnd(a[:3], b, nil)
-	AlignOpenEnd(a[:3], nil, nil) // degenerate: no matrix at all
-	Align(nil, b, nil)
+	Align(nil, b, nil)        // degenerate: no matrix at all
 	gets, puts := matrixGets.Load()-gets0, matrixPuts.Load()-puts0
 	if gets != puts {
 		t.Errorf("matrix pool unbalanced: %d gets, %d puts — an Align path leaked its matrix", gets, puts)

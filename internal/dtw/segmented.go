@@ -1,7 +1,6 @@
 package dtw
 
 import (
-	"math"
 	"math/bits"
 	"sync"
 )
@@ -35,12 +34,6 @@ func SegDist(a, b Segment) float64 {
 	}
 }
 
-// segCost is the per-cell matching cost of the coarse DTW recurrence:
-// the segment-range distance weighted by the shorter time interval.
-func segCost(a, b Segment) float64 {
-	return math.Min(a.Interval, b.Interval) * SegDist(a, b)
-}
-
 // SegmentAlignOpts tunes segment-level DTW.
 type SegmentAlignOpts struct {
 	// Stiffness penalizes non-diagonal warping steps, in radians: a
@@ -58,23 +51,18 @@ type SegmentAlignOpts struct {
 
 // segMatrix is a segment-DTW cost matrix backed by one flat slice, stored
 // column-major (cell (i, j) lives at j*m+i) so the resumable aligner can
-// extend it one query column at a time with a plain append. The batch
-// alignment entry points draw matrices from a pool, so the hot detection
-// path allocates nothing per call beyond the returned Path.
+// extend it one query column at a time with a plain append; the backing
+// arrays recycle through the cell free-list below.
 type segMatrix struct {
 	m int // rows: reference segments
 	// off is the first query column the cells actually hold; columns
 	// before it were dropped by a tail-truncated state restore (see
-	// SegmentAligner.RestoreState). The batch entry points and live
-	// aligners always run with off 0.
+	// SegmentAligner.RestoreState). Live aligners always run with off 0.
 	off   int
 	cells []float64
 }
 
-func (cm *segMatrix) at(i, j int) float64     { return cm.cells[(j-cm.off)*cm.m+i] }
-func (cm *segMatrix) set(i, j int, v float64) { cm.cells[(j-cm.off)*cm.m+i] = v }
-
-var segMatrixPool sync.Pool
+func (cm *segMatrix) at(i, j int) float64 { return cm.cells[(j-cm.off)*cm.m+i] }
 
 // cellFree recycles matrix backing arrays by power-of-two capacity
 // class. Every resumable aligner (one per tracked tag) grows its matrix
@@ -145,102 +133,6 @@ func putCells(c []float64) {
 	cellMu.Unlock()
 }
 
-// newSegMatrix sizes a pooled matrix for an m×n alignment. Every cell is
-// written by the recurrence before it is read, so cells are not cleared.
-func newSegMatrix(m, n int) *segMatrix {
-	cm, _ := segMatrixPool.Get().(*segMatrix)
-	if cm == nil {
-		cm = &segMatrix{}
-	}
-	cm.m = m
-	cm.off = 0
-	if cap(cm.cells) < m*n {
-		putCells(cm.cells)
-		cm.cells = getCells(m * n)
-	}
-	cm.cells = cm.cells[:m*n]
-	return cm
-}
-
-func (cm *segMatrix) release() { segMatrixPool.Put(cm) }
-
-// AlignSegments runs the paper's coarse DTW over two segmented profiles.
-// The cost of matching segments i and j is
-//
-//	min(sT_i, sT_j) * SegDist(i, j)
-//
-// accumulated with the standard DTW recurrence. It returns the optimal
-// distance and warping path over segment indices.
-func AlignSegments(p, q []Segment) Result {
-	return AlignSegmentsOpt(p, q, SegmentAlignOpts{})
-}
-
-// AlignSegmentsOpt is AlignSegments with options.
-func AlignSegmentsOpt(p, q []Segment, opts SegmentAlignOpts) Result {
-	m, n := len(p), len(q)
-	if m == 0 || n == 0 {
-		return Result{}
-	}
-	cm := newSegMatrix(m, n)
-	defer cm.release()
-	for j := 0; j < n; j++ {
-		horiz := opts.Stiffness * q[j].Interval
-		for i := 0; i < m; i++ {
-			c := segCost(p[i], q[j])
-			vert := opts.Stiffness * p[i].Interval
-			switch {
-			case i == 0 && j == 0:
-				cm.set(i, j, c)
-			case i == 0:
-				cm.set(i, j, c+cm.at(i, j-1)+horiz)
-			case j == 0:
-				cm.set(i, j, c+cm.at(i-1, j)+vert)
-			default:
-				cm.set(i, j, c+min3(cm.at(i-1, j)+vert, cm.at(i, j-1)+horiz, cm.at(i-1, j-1)))
-			}
-		}
-	}
-	return Result{
-		Distance: cm.at(m-1, n-1),
-		Path:     tracebackStiff(cm, p, q, opts, m-1, n-1, false, nil),
-	}
-}
-
-// AlignSegmentsOpenEnd is the subsequence variant of AlignSegments: the
-// whole reference p must be consumed but it may match any contiguous run of
-// q's segments. Returns the result plus the first and last matched segment
-// indices of q.
-func AlignSegmentsOpenEnd(p, q []Segment) (Result, int, int) {
-	return AlignSegmentsOpenEndOpt(p, q, SegmentAlignOpts{})
-}
-
-var alignerPool sync.Pool
-
-// AlignSegmentsOpenEndOpt is AlignSegmentsOpenEnd with options. It runs a
-// pooled SegmentAligner over the full query in one shot, so the batch path
-// is the exact code the resumable incremental path extends — the two are
-// byte-identical by construction — and the DP matrix is reused across
-// calls instead of being reallocated per alignment.
-func AlignSegmentsOpenEndOpt(p, q []Segment, opts SegmentAlignOpts) (Result, int, int) {
-	if len(p) == 0 || len(q) == 0 {
-		return Result{}, 0, 0
-	}
-	a, _ := alignerPool.Get().(*SegmentAligner)
-	if a == nil {
-		a = &SegmentAligner{}
-	}
-	a.setReference(p, opts)
-	a.q = a.q[:0]
-	a.cm.cells = a.cm.cells[:0]
-	res, s, e := a.Align(q)
-	// Align's Path aliases the aligner's scratch; detach it before the
-	// aligner goes back to the pool so the caller owns the result.
-	res.Path = append(Path(nil), res.Path...)
-	a.ref.p = nil
-	alignerPool.Put(a)
-	return res, s, e
-}
-
 // Reference is the operand set of one segment-DTW reference, shared by
 // every aligner built over it: the segments, the options, and the flat
 // per-row panels the column fill reads (range bounds, intervals, and the
@@ -258,41 +150,31 @@ type Reference struct {
 
 // NewReference derives the shared panels for a reference once.
 func NewReference(p []Segment, opts SegmentAlignOpts) *Reference {
-	r := &Reference{}
-	r.rebuild(p, opts)
-	return r
-}
-
-// Segments returns the reference segments the panels were derived from.
-func (r *Reference) Segments() []Segment { return r.p }
-
-// Len returns the number of reference segments — the DP row count every
-// aligner over this reference fills per query column.
-func (r *Reference) Len() int { return len(r.p) }
-
-// rebuild re-derives the panels in place, reusing their backing arrays —
-// the pooled batch entry point rebinds its private Reference per call.
-func (r *Reference) rebuild(p []Segment, opts SegmentAlignOpts) {
-	r.p, r.opts = p, opts
 	m := len(p)
-	if cap(r.pLo) < m {
-		r.pLo = make([]float64, m)
-		r.pHi = make([]float64, m)
-		r.pInt = make([]float64, m)
-		r.pVert = make([]float64, m)
+	r := &Reference{
+		p: p, opts: opts,
+		pLo: make([]float64, m), pHi: make([]float64, m),
+		pInt: make([]float64, m), pVert: make([]float64, m),
 	}
-	r.pLo, r.pHi, r.pInt, r.pVert = r.pLo[:m], r.pHi[:m], r.pInt[:m], r.pVert[:m]
 	for i := range p {
 		r.pLo[i] = p[i].Lo
 		r.pHi[i] = p[i].Hi
 		r.pInt[i] = p[i].Interval
 		r.pVert[i] = opts.Stiffness * p[i].Interval
 	}
+	return r
 }
 
-// SegmentAligner is the resumable form of AlignSegmentsOpenEndOpt: the
-// reference is fixed at construction and the aligner holds the DP state of
-// the open-end recurrence column-by-column over query segments. Re-aligning
+// SegmentAligner runs the paper's coarse DTW as an open-end subsequence
+// alignment: the whole reference must be consumed, but it may match any
+// contiguous run of the query's segments. The cost of matching reference
+// segment i against query segment j is
+//
+//	min(sT_i, sT_j) * SegDist(i, j)
+//
+// accumulated with the DTW recurrence plus the Stiffness penalty on
+// non-diagonal steps. The reference is fixed at construction and the
+// aligner holds the DP state column-by-column over query segments. Re-aligning
 // after k segments were appended to the query extends the DP in O(m·k)
 // instead of recomputing the full O(m·n) matrix — the property that makes
 // periodic snapshots over an append-only profile pay for new reads only.
@@ -301,14 +183,14 @@ func (r *Reference) rebuild(p []Segment, opts SegmentAlignOpts) {
 // the longest unchanged prefix, so a query whose tail was rewritten (a
 // re-segmentation after an out-of-order read) transparently degrades to
 // recomputing from the first changed segment. The held state grows with the
-// query: O(m·n) cells, the same footprint one batch alignment allocates
-// transiently. A SegmentAligner is not safe for concurrent use.
+// query: O(m·n) cells; Release hands them back to the free-list. A
+// SegmentAligner is not safe for concurrent use.
 type SegmentAligner struct {
 	// ref holds the reference segments, options and the flat per-row fill
 	// operands. Aligners built by NewSharedAligner point at one Reference
 	// shared across the whole tag population — the aligner itself is a
 	// facade over the shared panels plus this tag's private DP state;
-	// NewSegmentAligner and the pooled batch entry own a private one.
+	// NewSegmentAligner owns a private one.
 	ref *Reference
 	q   []Segment // query segments the DP currently covers
 	cm  segMatrix
@@ -357,17 +239,6 @@ func NewSharedAligner(ref *Reference) *SegmentAligner {
 	return &SegmentAligner{ref: ref}
 }
 
-// setReference (re)binds the aligner to a reference, re-deriving the flat
-// operand panels into its private Reference. The pooled batch entry point
-// calls it per alignment — O(m) against the O(m·n) fill.
-func (a *SegmentAligner) setReference(p []Segment, opts SegmentAlignOpts) {
-	if a.ref == nil {
-		a.ref = &Reference{}
-	}
-	a.ref.rebuild(p, opts)
-	a.endValid = false
-}
-
 // Cols reports how many query columns of DP state are held — the next
 // Align pays only for columns beyond the common prefix (exposed for tests).
 func (a *SegmentAligner) Cols() int { return len(a.q) }
@@ -387,11 +258,12 @@ func (a *SegmentAligner) Release() {
 	a.endValid = false
 }
 
-// Align answers the open-end subsequence query over q, byte-identical to
-// AlignSegmentsOpenEndOpt(reference, q, opts): the whole reference must be
-// consumed, q may match any contiguous run, ties prefer the latest end.
-// Columns shared with the previous call are reused; only new or changed
-// query segments are computed.
+// Align answers the open-end subsequence query over q: the whole reference
+// must be consumed, q may match any contiguous run, ties prefer the latest
+// end. It returns the result plus the first and last matched segment
+// indices of q. Columns shared with the previous call are reused; only new
+// or changed query segments are computed, and the answer is byte-identical
+// to a fresh aligner's over the same q.
 //
 // The returned Result's Path is aligner-owned scratch, overwritten by the
 // next Align on this aligner: callers that retain it across calls must
@@ -469,7 +341,7 @@ func (a *SegmentAligner) alignFinish() (Result, int, int) {
 	// Free end: pick the cheapest cell in the last reference row — read
 	// from the contiguous mirror, not the strided matrix. Ties prefer the
 	// latest end so zero-cost plateaus match the whole pattern region
-	// rather than a truncated prefix (see AlignOpenEnd).
+	// rather than a truncated prefix.
 	n := len(a.q)
 	endJ := 0
 	last := a.lastRow[:n]
@@ -485,14 +357,14 @@ func (a *SegmentAligner) alignFinish() (Result, int, int) {
 		// its start are the answer, cell for cell.
 		return Result{Distance: best, Path: a.path}, a.path[0].J, endJ
 	}
-	path := tracebackStiff(&a.cm, a.ref.p, a.q, a.ref.opts, m-1, endJ, true, a.path)
+	path := tracebackStiff(&a.cm, a.ref.p, a.q, a.ref.opts, m-1, endJ, a.path)
 	if path == nil {
 		// The optimal path walked into the truncated region (possible
 		// only after a tail-state restore, when the best open end moved
 		// behind the dropped columns). Rebuild the full matrix — identical
 		// values, deterministically — and retrace.
 		a.rebuildAll()
-		path = tracebackStiff(&a.cm, a.ref.p, a.q, a.ref.opts, m-1, endJ, true, a.path)
+		path = tracebackStiff(&a.cm, a.ref.p, a.q, a.ref.opts, m-1, endJ, a.path)
 	}
 	a.path = path
 	a.lastStart = path[0].J
@@ -518,19 +390,10 @@ func (a *SegmentAligner) rebuildAll() {
 	}
 }
 
-// extendColumn computes DP column j from column j-1 in two passes,
-// filling the exact cell values the one-shot recurrence produces.
+// extendColumn computes DP column j from column j-1 in two passes.
 //
-// Pass 1 is the pointwise matching cost — segCost/SegDist with the
-// reference operands read from the flat arrays. It is written as
-// independent straight-line iterations over four contiguous float
-// streams with no cross-iteration dependency: the shape the compiler can
-// keep in registers and unroll, and the shape a vectorizing backend
-// could lift wholesale. The max(0, lo−hi, lo−hi) form equals the
-// original comparison chain exactly — segment ranges are proper
-// intervals, so at most one of the two gaps is positive — and the
-// interval branch equals math.Min bit-for-bit on these finite
-// non-negative operands.
+// Pass 1 (fillCost) is the pointwise matching cost, free of
+// cross-iteration dependencies.
 //
 // Pass 2 is the sequential min-of-three DP, which carries the col[i-1]
 // dependency and stays scalar; splitting the cost out of it roughly
@@ -549,9 +412,9 @@ func (a *SegmentAligner) extendColumn(j int) {
 	pVert := a.ref.pVert[:m]
 	if j == 0 {
 		for i := 1; i < m; i++ {
-			// Same association as the one-shot recurrence
-			// ((cost + col[i−1]) + pVert) — float addition rounds per
-			// operation, so regrouping would break bit-identity.
+			// Fixed association ((cost + col[i−1]) + pVert): float
+			// addition rounds per operation, so regrouping would change
+			// the cell bits that checkpoints and the lane kernels pin.
 			acc = cost[i] + acc + pVert[i]
 			col[i] = acc
 		}
@@ -589,11 +452,11 @@ func (a *SegmentAligner) columnSlices(j, m int) (col, prev []float64) {
 }
 
 // fillCost is the fill's first pass for column j: the pointwise matching
-// costs — segCost/SegDist with the reference operands read from the flat
-// panels. It is written as independent straight-line iterations over
+// costs — min(sT_i, sT_j)·SegDist with the reference operands read from
+// the flat panels. It is written as independent straight-line iterations over
 // contiguous float streams with no cross-iteration dependency: the shape
 // the compiler can keep in registers and unroll. The max(0, lo−hi, lo−hi)
-// form equals the original comparison chain exactly — segment ranges are
+// form equals SegDist's comparison chain exactly — segment ranges are
 // proper intervals, so at most one of the two gaps is positive — and the
 // interval branch equals math.Min bit-for-bit on these finite
 // non-negative operands.
@@ -867,12 +730,12 @@ func extendCols2(ref *Reference, a0 *SegmentAligner, j0 int, a1 *SegmentAligner,
 }
 
 // tracebackStiff reconstructs the optimal path of a stiffness-weighted
-// segment alignment. With open true, the path may start at any column of
-// the first row (subsequence matching). It returns nil when the walk
+// open-end segment alignment: the path may start at any column of the
+// first row (subsequence matching). It returns nil when the walk
 // would read a column before cm.off — a tail-restored matrix that turned
 // out too short — in which case the caller must rebuild the full matrix
 // and retrace; a full matrix (off 0) always yields a path.
-func tracebackStiff(cm *segMatrix, p, q []Segment, opts SegmentAlignOpts, i, j int, open bool, dst Path) Path {
+func tracebackStiff(cm *segMatrix, p, q []Segment, opts SegmentAlignOpts, i, j int, dst Path) Path {
 	// A warping path from (i, j) back to row 0 takes at most i+j+1 steps:
 	// one exact-capacity allocation instead of append doublings — skipped
 	// entirely when the caller hands back a big-enough scratch. A scratch
@@ -887,12 +750,8 @@ func tracebackStiff(cm *segMatrix, p, q []Segment, opts SegmentAlignOpts, i, j i
 	}
 	for {
 		rev = append(rev, Step{I: i, J: j})
-		if i == 0 && (open || j == 0) {
-			break
-		}
 		if i == 0 {
-			j--
-			continue
+			break
 		}
 		if j == 0 {
 			i--

@@ -27,9 +27,6 @@ type Runner struct {
 	Workers int
 }
 
-// DefaultRunner is the full-fidelity configuration.
-func DefaultRunner() Runner { return Runner{Seed: 1, Reps: 25} }
-
 // QuickRunner is for smoke tests.
 func QuickRunner() Runner { return Runner{Seed: 1, Reps: 3, Quick: true} }
 

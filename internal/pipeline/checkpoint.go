@@ -177,14 +177,19 @@ func (e *Engine) RestoreCheckpoint(r *ckpt.Reader) error {
 			}
 			cached[epc] = tr
 		}
+		// Every resident gets a state — Snapshot hands one per tag to the
+		// Y stage. A blob without one (the writer never produces that for
+		// a resident) restores a fresh state, which answers exactly like
+		// the from-scratch computation.
+		ts := &tagState{det: e.loc.NewDetectState(), gen: e.builder.Generation(epc)}
 		if r.U8() != 0 {
-			ts := &tagState{det: e.loc.NewDetectState(), gen: r.U64()}
+			ts.gen = r.U64()
 			if err := ts.det.RestoreCheckpoint(r); err != nil {
 				reset()
 				return fmt.Errorf("pipeline: restore tag state: %w", err)
 			}
-			states[epc] = ts
 		}
+		states[epc] = ts
 	}
 	frontier := r.F64()
 	late := int64(r.U64())

@@ -13,13 +13,13 @@
 // transparent rebuild when an out-of-order read re-sorts a profile. The
 // global (cheap) X/Y ordering is re-assembled over cached per-tag results.
 //
-// Both paths share the exact same per-tag and assembly code
-// (stpp.Localizer.LocalizeTag and Assemble), so the final snapshot over a
-// fully consumed stream is identical — per-tag V-zones, X/Y keys and both
-// orders — to stpp.Localizer.LocalizeReads over the same read log. The
-// batch Localizer cannot itself wrap the Engine without an import cycle, so
-// the sharing runs the other way: stpp owns the two stages and both the
-// batch facade and this engine compose them.
+// There is one detection path. stpp owns the per-tag kernel
+// (LocalizeTagsIncremental over runs of DetectBlock tags) and the assembly
+// (AssembleStates); batch stpp.Localizer.Localize runs them once over
+// fresh per-tag states, and this engine runs them snapshot after snapshot
+// over resumed ones. Resumed state answers exactly like fresh state, so
+// every snapshot — per-tag V-zones, X/Y keys and both orders — is
+// identical to stpp.Localizer.LocalizeReads over the same read prefix.
 package pipeline
 
 import (
@@ -29,7 +29,6 @@ import (
 	"slices"
 
 	"repro/internal/epcgen2"
-	"repro/internal/par"
 	"repro/internal/profile"
 	"repro/internal/reader"
 	"repro/internal/sched"
@@ -59,47 +58,6 @@ type Options struct {
 	// propose conclusive tags but only the sharded coordinator — which
 	// knows every zone's opinion — may emit and evict.
 	HoldEmission bool
-	// DetectBlockBytes budgets the cache footprint of one detection run:
-	// the number of dirty tags per scheduler claim is sized so the run's
-	// per-tag DP working set plus the shared reference panels fit the
-	// budget (an L2 slice, roughly). 0 means 256 KiB; the resulting tag
-	// count is clamped to [minDetectBlock, maxDetectBlock].
-	DetectBlockBytes int
-}
-
-// Detection block sizing: one scheduler claim takes a contiguous run of
-// dirty tags, and the blocked kernel (stpp.LocalizeTagsIncremental)
-// interleaves their DP fills over the shared reference panels. The run
-// should be big enough to amortize claim traffic and panel loads, small
-// enough that the run's columns-in-flight stay cache-resident.
-const (
-	defaultDetectBudget = 256 << 10
-	minDetectBlock      = 4
-	maxDetectBlock      = 64
-)
-
-// blockForBudget sizes a detection run: m is the reference segment count
-// (the DP row count every column pays), and each tag in flight holds a
-// cost buffer plus its current and previous DP column — roughly 4 m-sized
-// float64 arrays with the shared panels amortized across the run. Always
-// at least minDetectBlock, so a degenerate budget or a huge reference
-// still makes progress in non-empty runs.
-func blockForBudget(budget, m int) int {
-	if budget <= 0 {
-		budget = defaultDetectBudget
-	}
-	if m <= 0 {
-		m = 1
-	}
-	per := 32 * m
-	b := budget / per
-	if b < minDetectBlock {
-		b = minDetectBlock
-	}
-	if b > maxDetectBlock {
-		b = maxDetectBlock
-	}
-	return b
 }
 
 // Engine is the streaming localization engine. It is not safe for
@@ -109,7 +67,7 @@ type Engine struct {
 	loc     *stpp.Localizer
 	builder *profile.Builder
 	workers int
-	block   int
+	block   int // tags per detection run: the localizer's DetectBlock
 	group   *sched.Group
 	cached  map[epcgen2.EPC]stpp.TagResult
 	states  map[epcgen2.EPC]*tagState
@@ -182,7 +140,7 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 		loc:     loc,
 		builder: profile.NewBuilder(),
 		workers: w,
-		block:   blockForBudget(opts.DetectBlockBytes, loc.Detector().RefSegments()),
+		block:   loc.DetectBlock(),
 		group:   opts.Group,
 		cached:  make(map[epcgen2.EPC]stpp.TagResult),
 		states:  make(map[epcgen2.EPC]*tagState),
@@ -320,13 +278,10 @@ func (e *Engine) Snapshot() (*stpp.Result, error) {
 	for _, epc := range epcs {
 		e.tags = append(e.tags, e.cached[epc])
 		// Hand the Y stage each tag's detection state so valley windowing
-		// resumes the cached unwrap/median curves (every seen tag has one:
-		// a new tag is dirty on its first snapshot).
-		if ts := e.states[epc]; ts != nil {
-			e.yst = append(e.yst, ts.det)
-		} else {
-			e.yst = append(e.yst, nil)
-		}
+		// resumes the cached unwrap/median curves. Every resident has one:
+		// a new tag is dirty on its first snapshot, and a restore gives
+		// every restored resident a state.
+		e.yst = append(e.yst, e.states[epc].det)
 	}
 	return e.loc.AssembleStates(e.tags, e.yst), nil
 }
@@ -375,7 +330,7 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	if e.group != nil {
 		e.group.ForRuns(e.workers, n, e.block, fillRun)
 	} else {
-		par.ForRuns(e.workers, n, e.block, fillRun)
+		sched.Default().ForRuns(nil, e.workers, n, e.block, fillRun)
 	}
 	for i, epc := range e.depcs {
 		e.cached[epc] = results[i]

@@ -21,10 +21,10 @@
 //   - Spawned tasks (Go): plain closures, e.g. one ingest session's queue
 //     drain. They run exactly once on some worker.
 //
-//   - Parallel-for jobs (For/ForBlocked): fn(i) over [0, n) with the
-//     result-slot contract par.For established — fn(i) may write slot i of
-//     a caller-owned slice and the caller observes every write after For
-//     returns, regardless of which worker ran which index. Indices are
+//   - Parallel-for jobs (For/ForBlocked/ForRuns): fn(i) over [0, n) with
+//     the result-slot contract — fn(i) may write slot i of a caller-owned
+//     slice and the caller observes every write after For returns,
+//     regardless of which worker ran which index. Indices are
 //     claimed from a shared atomic cursor in contiguous blocks (the
 //     cache-blocked runs batched detection wants), so "stealing" part of a
 //     job is a single atomic add, and the claim order is ascending. The
@@ -75,21 +75,11 @@ type Group struct {
 // Name returns the group's label.
 func (g *Group) Name() string { return g.name }
 
-// Inflight reports how many workers are currently executing this group's
-// work.
-func (g *Group) Inflight() int { return int(g.inflight.Load()) }
-
 // Go submits fn under this group's fairness accounting.
 func (g *Group) Go(fn func()) { g.s.Go(g, fn) }
 
 // For runs fn(i) over [0, n) under this group. See (*Scheduler).For.
 func (g *Group) For(maxPar, n int, fn func(int)) { g.s.For(g, maxPar, n, fn) }
-
-// ForBlocked is For with contiguous index blocks. See
-// (*Scheduler).ForBlocked.
-func (g *Group) ForBlocked(maxPar, n, block int, fn func(int)) {
-	g.s.ForBlocked(g, maxPar, n, block, fn)
-}
 
 // ForRuns hands each claimed block to fn as a [lo, hi) range. See
 // (*Scheduler).ForRuns.

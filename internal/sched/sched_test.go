@@ -107,9 +107,10 @@ func TestGoRunsOnce(t *testing.T) {
 	}
 }
 
-// TestGoroutineReuse is the satellite regression: scheduling thousands of
-// For calls must not spawn goroutines per call the way the old par.For
-// did (workers goroutines per invocation).
+// TestGoroutineReuse is the regression guard for per-call spawning:
+// scheduling thousands of For calls must not spawn goroutines per call the
+// way the old per-call worker pools did (workers goroutines per
+// invocation).
 func TestGoroutineReuse(t *testing.T) {
 	s := New(4)
 	defer s.Stop()
@@ -286,7 +287,7 @@ func TestForBlockedEdges(t *testing.T) {
 			{0, 4},   // empty
 		} {
 			hits := make([]atomic.Int32, tc.n)
-			g.ForBlocked(0, tc.n, tc.block, func(i int) { hits[i].Add(1) })
+			s.ForBlocked(g, 0, tc.n, tc.block, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
 					t.Fatalf("workers=%d n=%d block=%d: index %d ran %d times",
@@ -295,5 +296,38 @@ func TestForBlockedEdges(t *testing.T) {
 			}
 		}
 		s.Stop()
+	}
+}
+
+// TestForCoversAllIndices runs the process-global scheduler's For — what
+// the engine, deployment and experiment fan-outs call — over every
+// parallelism the callers pass (0 = full width, 1 = serial, and caps
+// below, at and far above the pool width) and every degenerate size:
+// each index runs exactly once.
+func TestForCoversAllIndices(t *testing.T) {
+	for _, workers := range []int{0, 1, 2, 4, 100} {
+		for _, n := range []int{0, 1, 5, 257} {
+			out := make([]atomic.Int32, n)
+			Default().For(nil, workers, n, func(i int) { out[i].Add(1) })
+			for i := range out {
+				if v := out[i].Load(); v != 1 {
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, v)
+				}
+			}
+		}
+	}
+}
+
+// TestForNoGoroutinesPerCall: repeated capped For calls on the
+// process-global scheduler ride its persistent pool, so the goroutine
+// count stays flat.
+func TestForNoGoroutinesPerCall(t *testing.T) {
+	Default().For(nil, 4, 16, func(int) {}) // warm the shared pool
+	before := runtime.NumGoroutine()
+	for k := 0; k < 1000; k++ {
+		Default().For(nil, 4, 16, func(int) {})
+	}
+	if after := runtime.NumGoroutine(); after > before+2 {
+		t.Fatalf("goroutines grew %d -> %d across 1000 For calls", before, after)
 	}
 }

@@ -141,12 +141,6 @@ type Options struct {
 	// center required before finalizing (stpp.FinalizePolicy.Margin).
 	// Only meaningful with FinalizeAfter > 0.
 	FinalizeMargin float64
-	// DetectBlockBytes is the per-worker cache budget for the blocked
-	// multi-tag detection kernel (pipeline.Options.DetectBlockBytes): each
-	// snapshot's dirty tags are detected in runs sized so a run's DP
-	// columns fit the budget. 0 uses the pipeline default (256 KiB, an L2
-	// slice). stppd's -detect-block-kb flag sets it.
-	DetectBlockBytes int
 	// MaxActiveTags bounds each session's resident (not yet finalized)
 	// tag profiles: an enqueue that would grow a session already at the
 	// bound fails fast with ErrTooManyTags instead of letting memory grow

@@ -37,7 +37,7 @@ func incrementalFixture(t *testing.T) (*stpp.Localizer, []*profile.Profile) {
 
 // TestDetectIncrementalMatchesDetect grows each profile prefix by random
 // strides — including prefixes too short to detect in — and asserts the
-// resumable path returns exactly what a from-scratch Detect returns at
+// resumed state returns exactly what Detect (a fresh state) returns at
 // every step: same V-zone, same cost, same error text.
 func TestDetectIncrementalMatchesDetect(t *testing.T) {
 	loc, ps := incrementalFixture(t)
@@ -66,22 +66,19 @@ func TestDetectIncrementalMatchesDetect(t *testing.T) {
 }
 
 // TestLocalizeTagIncrementalMatches covers the full per-tag stage
-// (detection + X-keying) and the nil-state degradation.
+// (detection + X-keying): a state resumed across growing prefixes answers
+// exactly like a fresh state over each prefix.
 func TestLocalizeTagIncrementalMatches(t *testing.T) {
 	loc, ps := incrementalFixture(t)
 	for pi, full := range ps {
 		st := loc.NewDetectState()
 		for _, frac := range []int{3, 2, 1} {
 			p := full.Slice(0, full.Len()/frac)
-			want := loc.LocalizeTag(p)
+			want := loc.LocalizeTagIncremental(loc.NewDetectState(), p)
 			got := loc.LocalizeTagIncremental(st, p)
 			if want.VZone != got.VZone || want.X != got.X {
 				t.Fatalf("profile %d frac=1/%d: incremental diverged", pi, frac)
 			}
-		}
-		nilGot := loc.LocalizeTagIncremental(nil, full)
-		if want := loc.LocalizeTag(full); want.VZone != nilGot.VZone || want.X != nilGot.X {
-			t.Fatalf("profile %d: nil-state path diverged", pi)
 		}
 	}
 }

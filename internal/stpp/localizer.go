@@ -64,6 +64,8 @@ func (r *Result) YOrderEPCs() []epcgen2.EPC {
 type Localizer struct {
 	cfg Config
 	det *Detector
+	// block is the detection run size (see DetectBlock).
+	block int
 }
 
 // NewLocalizer builds a localizer for the given configuration.
@@ -72,7 +74,7 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Localizer{cfg: cfg, det: det}, nil
+	return &Localizer{cfg: cfg, det: det, block: detectBlock(len(det.refSegs))}, nil
 }
 
 // Config returns the localizer's configuration.
@@ -93,51 +95,53 @@ func (l *Localizer) LocalizeReads(reads []reader.TagRead) (*Result, error) {
 // Localize runs V-zone detection, X ordering and Y ordering over the given
 // profiles. Tags whose profiles cannot be processed are retained with Err
 // set; they are ordered by whatever partial keys they have (NaN bottom
-// times sort last on X, zero keys sort at the pivot on Y). It is a thin
-// serial composition of LocalizeTag and Assemble — the streaming
-// pipeline.Engine drives the same two stages with the per-tag stage fanned
-// out over a worker pool, so both paths produce identical results.
+// times sort last on X, zero keys sort at the pivot on Y).
+//
+// Batch localization is the streaming kernel run once: every tag gets a
+// fresh DetectState, LocalizeTagsIncremental detects and X-keys the tags
+// in runs of DetectBlock, and AssembleStates orders them — exactly the
+// stages pipeline.Engine drives snapshot after snapshot, so a snapshot
+// over a fully consumed stream equals this call by construction. Each
+// run's DP matrices go back to the free-list as soon as the run is keyed;
+// assembly needs only the states' unwrap curves.
 func (l *Localizer) Localize(profiles []*profile.Profile) (*Result, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("stpp: no profiles")
 	}
-	tags := make([]TagResult, len(profiles))
-	for i, p := range profiles {
-		tags[i] = l.LocalizeTag(p)
+	n := len(profiles)
+	tags := make([]TagResult, n)
+	states := make([]*DetectState, n)
+	for i := range states {
+		states[i] = l.det.NewDetectState()
 	}
-	return l.Assemble(tags), nil
+	for lo := 0; lo < n; lo += l.block {
+		hi := min(lo+l.block, n)
+		l.LocalizeTagsIncremental(states[lo:hi], profiles[lo:hi], tags[lo:hi])
+		// Assembly reads only the states' unwrap curves, so a keyed tag is
+		// done aligning: its DP matrix goes back to the free-list and the
+		// released aligner — which recomputes from scratch, exactly like a
+		// fresh one — moves on with its per-row scratch to the tag in the
+		// same slot of the next run.
+		for i := lo; i < hi; i++ {
+			states[i].al.Release()
+			if j := i + l.block; j < n {
+				states[j].al = states[i].al
+			}
+			states[i].al = nil
+		}
+	}
+	return l.AssembleStates(tags, states), nil
 }
 
-// LocalizeTag runs the per-tag portion of the pipeline — V-zone detection
-// and X-keying — over one profile. This stage carries essentially all of
-// the localization cost (segmented DTW plus quadratic fitting) and touches
-// no shared mutable state: the Localizer is immutable after construction,
-// so LocalizeTag is safe to call concurrently for different tags.
-func (l *Localizer) LocalizeTag(p *profile.Profile) TagResult {
-	tr := TagResult{EPC: p.EPC, Profile: p}
-	vz, err := l.det.Detect(p)
-	if err != nil {
-		tr.Err = err
-		return tr
-	}
-	tr.VZone = vz
-	xk, err := l.cfg.XKeyOf(p, vz)
-	if err != nil {
-		tr.Err = err
-		return tr
-	}
-	tr.X = xk
-	return tr
-}
-
-// LocalizeTagIncremental is LocalizeTag resuming from per-tag state: the
-// V-zone detection extends the state's segment cache and DTW columns
-// instead of recomputing them from sample 0, so a snapshot pays for the
-// reads that arrived since the previous one. The result is byte-identical
-// to LocalizeTag over the same profile. The profile must have grown
-// append-only since the state's last use (call st.Reset after a re-sort);
-// a nil state degrades to LocalizeTag. Like LocalizeTag it is safe to call
-// concurrently for different tags — each tag owns its state.
+// LocalizeTagIncremental runs the per-tag portion of the pipeline —
+// V-zone detection and X-keying — over one profile, resuming from the
+// tag's state: the detection extends the state's segment cache and DTW
+// columns instead of recomputing them from sample 0, so a snapshot pays
+// for the reads that arrived since the previous one, and the result is
+// byte-identical to the same call on a fresh state. The profile must have
+// grown append-only since the state's last use (call st.Reset after a
+// re-sort). The Localizer is immutable after construction, so the call is
+// safe to make concurrently for different tags — each tag owns its state.
 func (l *Localizer) LocalizeTagIncremental(st *DetectState, p *profile.Profile) TagResult {
 	tr := TagResult{EPC: p.EPC, Profile: p}
 	vz, err := l.det.DetectIncremental(st, p)
@@ -159,29 +163,22 @@ func (l *Localizer) LocalizeTagIncremental(st *DetectState, p *profile.Profile) 
 // LocalizeTagIncremental.
 func (l *Localizer) NewDetectState() *DetectState { return l.det.NewDetectState() }
 
-// Assemble runs the global portion of the pipeline over per-tag results:
+// AssembleStates runs the global portion of the pipeline over per-tag
+// results and their detection states (aligned with tags, one per tag):
 // the X order over bottom times (failed tags sort last via NaN handling)
-// and the pivot-based Y keys and order. It takes ownership of tags, filling
-// in each tag's Y key and recording Y-stage errors on tags that passed the
-// per-tag stage. It is a composition of the two independently usable
-// stages AssembleX and AssembleY — a sharded deployment assembles each
+// and the pivot-based Y keys and order. It takes ownership of tags,
+// filling in each tag's Y key and recording Y-stage errors on tags that
+// passed the per-tag stage. The Y stage's valley windowing resumes each
+// state's cached unwrap/median curves instead of recomputing them over the
+// whole profile, so the streaming engine — which assembles every snapshot
+// — keeps the Y stage incremental too. A sharded deployment assembles each
 // shard the same way and then stitches the per-shard orders
 // (internal/deploy).
-func (l *Localizer) Assemble(tags []TagResult) *Result {
-	return l.AssembleStates(tags, nil)
-}
-
-// AssembleStates is Assemble with per-tag detection states (aligned with
-// tags; nil slice or nil entries degrade to the stateless path) so the Y
-// stage's valley windowing can resume each tag's cached unwrap/median
-// curves instead of recomputing them over the whole profile — the
-// streaming engine assembles every snapshot, so this keeps the Y stage
-// incremental too. Results are bit-identical to Assemble.
 func (l *Localizer) AssembleStates(tags []TagResult, states []*DetectState) *Result {
 	sc := asmPool.Get().(*asmScratch)
 	res := &Result{Tags: tags}
 	res.XOrder = l.assembleX(sc, tags)
-	res.YOrder = l.assembleYScratch(sc, tags, states)
+	res.YOrder = l.assembleY(sc, tags, states)
 	asmPool.Put(sc)
 	res.XConfidence = XConfidences(tags, res.XOrder)
 	return res
@@ -222,24 +219,13 @@ type asmScratch struct {
 
 var asmPool = sync.Pool{New: func() any { return new(asmScratch) }}
 
-// AssembleX computes the X order over per-tag results: ascending V-zone
-// bottom time, with failed tags sorting last via NaN keys. Bottom times of
-// shards recorded on different local clocks can be made mergeable first via
-// XKey.Shifted.
-func (l *Localizer) AssembleX(tags []TagResult) []int {
-	return l.assembleX(nil, tags)
-}
-
+// assembleX computes the X order over per-tag results: ascending V-zone
+// bottom time, with failed tags sorting last via NaN keys.
 func (l *Localizer) assembleX(sc *asmScratch, tags []TagResult) []int {
-	var xkeys []XKey
-	if sc != nil && cap(sc.xkeys) >= len(tags) {
-		xkeys = sc.xkeys[:len(tags)]
-	} else {
-		xkeys = make([]XKey, len(tags))
-		if sc != nil {
-			sc.xkeys = xkeys
-		}
+	if cap(sc.xkeys) < len(tags) {
+		sc.xkeys = make([]XKey, len(tags))
 	}
+	xkeys := sc.xkeys[:len(tags)]
 	for i := range tags {
 		if tags[i].Err != nil {
 			xkeys[i] = XKey{BottomTime: math.NaN()}
@@ -250,37 +236,23 @@ func (l *Localizer) assembleX(sc *asmScratch, tags []TagResult) []int {
 	return OrderByX(xkeys)
 }
 
-// AssembleY computes the pivot-based Y keys and order over per-tag results,
-// writing each tag's Y key (and any Y-stage error) in place. Y keys are
-// signed gaps from a per-call pivot, so they are only comparable within one
-// assembly — per-shard Y orders are stitched as orders, not as keys.
-func (l *Localizer) AssembleY(tags []TagResult) []int {
-	return l.assembleY(tags, nil)
-}
-
-func (l *Localizer) assembleY(tags []TagResult, states []*DetectState) []int {
-	return l.assembleYScratch(nil, tags, states)
-}
-
-func (l *Localizer) assembleYScratch(sc *asmScratch, tags []TagResult, states []*DetectState) []int {
+// assembleY computes the pivot-based Y keys and order over per-tag
+// results, writing each tag's Y key (and any Y-stage error) in place. Y
+// keys are signed gaps from a per-call pivot, so they are only comparable
+// within one assembly — per-shard Y orders are stitched as orders, not as
+// keys.
+func (l *Localizer) assembleY(sc *asmScratch, tags []TagResult, states []*DetectState) []int {
 	n := len(tags)
-	var profiles []*profile.Profile
-	var vzones []VZone
-	if sc != nil && cap(sc.profiles) >= n {
-		profiles = sc.profiles[:n]
-		vzones = sc.vzones[:n]
-	} else {
-		profiles = make([]*profile.Profile, n)
-		vzones = make([]VZone, n)
-		if sc != nil {
-			sc.profiles, sc.vzones = profiles, vzones
-		}
+	if cap(sc.profiles) < n {
+		sc.profiles = make([]*profile.Profile, n)
+		sc.vzones = make([]VZone, n)
 	}
+	profiles, vzones := sc.profiles[:n], sc.vzones[:n]
 	for i := range tags {
 		profiles[i] = tags[i].Profile
 		vzones[i] = tags[i].VZone
 	}
-	ykeys, errs := l.cfg.yKeys(sc, states, profiles, vzones, 0)
+	ykeys, errs := l.cfg.yKeys(sc, states, profiles, vzones)
 	for i := range tags {
 		if tags[i].Err == nil && errs[i] != nil {
 			tags[i].Err = errs[i]

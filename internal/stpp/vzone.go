@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/dsp"
 	"repro/internal/dtw"
@@ -72,24 +71,15 @@ func (d *Detector) Reference() (*profile.Profile, int, int) {
 	return d.ref, d.refVS, d.refVE
 }
 
-// Detect finds the V-zone in a measured profile. It aligns the segmented
-// reference against the segmented measurement with open-ended coarse DTW
-// (Section 3.1.2) — the measured profile may extend well beyond the
-// reference's period count, so the reference is located as a subsequence —
-// and maps the reference's a-priori V-zone bounds through the warping
-// path.
+// Detect finds the V-zone in a measured profile: DetectIncremental on a
+// fresh state, whose DP matrix goes back to the free-list on return. It is
+// the one-shot entry point for callers that detect a profile once (the
+// experiments); the localizer and the streaming engine keep per-tag
+// states instead.
 func (d *Detector) Detect(p *profile.Profile) (VZone, error) {
-	if p.Len() < d.cfg.MinVZoneSamples {
-		return VZone{}, fmt.Errorf("stpp: profile has %d samples, need >= %d",
-			p.Len(), d.cfg.MinVZoneSamples)
-	}
-	segs := p.Segmentize(d.cfg.Window)
-	if len(segs) == 0 {
-		return VZone{}, fmt.Errorf("stpp: empty segmentation")
-	}
-	res, _, _ := dtw.AlignSegmentsOpenEndOpt(d.refSegs, segs,
-		dtw.SegmentAlignOpts{Stiffness: d.cfg.DTWStiffness})
-	return d.vzoneFromAlignment(nil, p, segs, res)
+	st := d.NewDetectState()
+	defer st.al.Release()
+	return d.DetectIncremental(st, p)
 }
 
 // DetectState is the resumable per-tag state behind DetectIncremental: the
@@ -100,14 +90,15 @@ func (d *Detector) Detect(p *profile.Profile) (VZone, error) {
 type DetectState struct {
 	segs *profile.SegmentCache
 	al   *dtw.SegmentAligner
-	// u and um cache refineVZone's circular unwrap and its median-filtered
-	// form over the profile's first uLen samples. The unwrap is a cumulative
-	// sum and the median windows are local, so on append-only growth both
-	// resume from uLen instead of recomputing from sample 0.
+	// u and um cache the V-zone refinement's circular unwrap and its
+	// median-filtered form over the profile's first uLen samples. The
+	// unwrap is a cumulative sum and the median windows are local, so on
+	// append-only growth both resume from uLen instead of recomputing from
+	// sample 0.
 	u, um []float64
 	uLen  int
-	// vw is the valley-window output scratch of this state's ValleyWindow;
-	// the X-key buffers back the per-tag fit stage. Both stages run once
+	// vw is the output scratch of this state's ValleyWindow; the X-key
+	// buffers back the per-tag fit stage. Both stages run once
 	// per tag on every snapshot, so per-call allocation of these scaled
 	// the snapshot-cadence allocation count linearly with cadence.
 	vw                    []float64
@@ -133,11 +124,6 @@ func (d *Detector) NewDetectState() *DetectState {
 	}
 }
 
-// RefSegments reports the reference segment count — the DP row count every
-// detection pays per column, which is what a bytes-based detection block
-// budget needs to size cache-resident runs.
-func (d *Detector) RefSegments() int { return len(d.refSegs) }
-
 // Reset invalidates the state after the tag's profile changed other than
 // by appending (an out-of-order read forced a re-sort): the segment cache
 // rebuilds from sample 0, the aligner recomputes from the first changed
@@ -162,9 +148,16 @@ func (s *DetectState) Release() {
 // resuming the cached curves from the last call's length: the unwrap
 // continues the cumulative sum from u[uLen−1], and the median filter
 // recomputes only the indices whose window reaches into the new samples.
-// Bit-identical to the from-scratch computation in refineVZone because the
+// Bit-identical to a fresh state's from-scratch computation because the
 // resumed arithmetic runs the same operations in the same order over an
 // unchanged prefix.
+//
+// The unwrap is the cumulative sum of wrapped differences folded into
+// (-π, π] over the whole profile: immune to representation wraps; only
+// genuinely fast phase motion between consecutive reads (>π) aliases, and
+// that happens far from the V-zone where it cannot move the local
+// minimum. The median filter keeps noise outliers from faking a bottom or
+// tripping the rise thresholds.
 func (s *DetectState) unwrapMedian(p *profile.Profile) []float64 {
 	n := p.Len()
 	n0 := s.uLen
@@ -205,21 +198,22 @@ func (s *DetectState) unwrapMedian(p *profile.Profile) []float64 {
 	return s.um
 }
 
-// DetectIncremental is Detect resuming from a previous call's state: the
-// profile is re-segmented only from the last window boundary, the segment
-// DTW extends its held DP columns, and the V-zone refinement resumes its
-// unwrap/median curves from the previous profile length, so a detection
-// after k new reads costs O(refSegs·k/w + k) instead of
-// O(refSegs·len(p)/w² + len(p)). The result is
-// byte-identical to Detect over the same profile — the segment cache
-// reproduces Segmentize exactly on append-only growth, and the batch
-// alignment is itself a one-shot run of the same SegmentAligner code. The
-// profile must extend the one from the previous call by appends only,
-// unless Reset was called in between. A nil state degrades to Detect.
+// DetectIncremental finds the V-zone in a measured profile, resuming from
+// a previous call's state. It aligns the segmented reference against the
+// segmented measurement with open-ended coarse DTW (Section 3.1.2) — the
+// measured profile may extend well beyond the reference's period count, so
+// the reference is located as a subsequence — and maps the reference's
+// a-priori V-zone bounds through the warping path. The profile is
+// re-segmented only from the last window boundary, the segment DTW extends
+// its held DP columns, and the V-zone refinement resumes its unwrap/median
+// curves from the previous profile length, so a detection after k new
+// reads costs O(refSegs·k/w + k) instead of O(refSegs·len(p)/w² +
+// len(p)). The result is byte-identical to the same call on a fresh state:
+// the segment cache reproduces Segmentize exactly on append-only growth,
+// and the aligner answers exactly as a fresh one would. The profile must
+// extend the one from the previous call by appends only, unless Reset was
+// called in between.
 func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone, error) {
-	if st == nil {
-		return d.Detect(p)
-	}
 	if p.Len() < d.cfg.MinVZoneSamples {
 		return VZone{}, fmt.Errorf("stpp: profile has %d samples, need >= %d",
 			p.Len(), d.cfg.MinVZoneSamples)
@@ -234,9 +228,8 @@ func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone
 
 // vzoneFromAlignment maps an open-end alignment of the reference against
 // the measured segmentation onto the measured profile and refines the
-// candidate — the shared back half of Detect and DetectIncremental. A
-// non-nil state supplies the refinement's unwrap/median curves from its
-// incremental cache; nil recomputes them into pooled scratch.
+// candidate with the state's cached unwrap/median curves — the back half
+// shared by DetectIncremental and the blocked LocalizeTagsIncremental.
 func (d *Detector) vzoneFromAlignment(st *DetectState, p *profile.Profile, segs []dtw.Segment, res dtw.Result) (VZone, error) {
 	if len(res.Path) == 0 {
 		return VZone{}, fmt.Errorf("stpp: alignment produced no path")
@@ -262,45 +255,11 @@ func (d *Detector) vzoneFromAlignment(st *DetectState, p *profile.Profile, segs 
 	// profile, take the unwrapped minimum near the candidate, and expand
 	// until the phase has risen one full period on each side — the wrap
 	// positions that define the V-zone (Section 2.2).
-	if st != nil {
-		start, end = refineVZoneFiltered(st.unwrapMedian(p), start, end)
-	} else {
-		start, end = refineVZone(p, start, end)
-	}
+	start, end = snapVZone(st.unwrapMedian(p), start, end)
 	if end-start < d.cfg.MinVZoneSamples {
 		return VZone{}, fmt.Errorf("stpp: detected V-zone too sparse (%d samples)", end-start)
 	}
 	return VZone{Start: start, End: end, Cost: res.Distance}, nil
-}
-
-// unwrapScratch pools the profile-length temporaries of the V-zone
-// refinement and valley windowing — both run once per tag per snapshot
-// over the whole profile, so per-call allocation of these was a top GC
-// cost in the snapshot-cadence benchmark.
-type unwrapScratch struct{ u, um []float64 }
-
-var unwrapPool = sync.Pool{New: func() any { return new(unwrapScratch) }}
-
-// circularUnwrapInto fills dst (reused when capacity allows) with the
-// profile's circular unwrap: the cumulative sum of wrapped differences
-// folded into (-π, π].
-func circularUnwrapInto(dst []float64, phases []float64) []float64 {
-	n := len(phases)
-	if cap(dst) < n {
-		dst = make([]float64, n)
-	}
-	u := dst[:n]
-	u[0] = phases[0]
-	for i := 1; i < n; i++ {
-		d := phases[i] - phases[i-1]
-		if d > math.Pi {
-			d -= 2 * math.Pi
-		} else if d <= -math.Pi {
-			d += 2 * math.Pi
-		}
-		u[i] = u[i-1] + d
-	}
-	return u
 }
 
 // medianWidth is the median-filter window of the V-zone refinement and
@@ -308,32 +267,10 @@ func circularUnwrapInto(dst []float64, phases []float64) []float64 {
 // know how far a profile append can perturb the filtered curve.
 const medianWidth = 5
 
-// refineVZone snaps a candidate V-zone region to the enclosing
-// single-period valley of the profile's circular-unwrapped phase.
-func refineVZone(p *profile.Profile, candStart, candEnd int) (int, int) {
-	n := p.Len()
-	if n == 0 {
-		return candStart, candEnd
-	}
-	// Circular unwrap over the whole profile: immune to representation
-	// wraps; only genuinely fast phase motion between consecutive reads
-	// (>π) aliases, and that happens far from the V-zone where it cannot
-	// move the local minimum.
-	sc := unwrapPool.Get().(*unwrapScratch)
-	defer unwrapPool.Put(sc)
-	sc.u = circularUnwrapInto(sc.u, p.Phases)
-	u := sc.u
-
-	// Median-filter the unwrapped curve so noise outliers do not fake a
-	// bottom or trip the rise thresholds.
-	sc.um = dsp.MedianFilterTo(sc.um, u, medianWidth)
-	return refineVZoneFiltered(sc.um, candStart, candEnd)
-}
-
-// refineVZoneFiltered is the search-and-expand half of refineVZone over an
-// already median-filtered unwrap um of the whole profile — shared by the
-// pooled batch path and DetectState's cached incremental path.
-func refineVZoneFiltered(um []float64, candStart, candEnd int) (int, int) {
+// snapVZone snaps a candidate V-zone region to the enclosing
+// single-period valley of the profile's circular-unwrapped phase, given
+// the median-filtered unwrap um of the whole profile.
+func snapVZone(um []float64, candStart, candEnd int) (int, int) {
 	n := len(um)
 
 	// Search the candidate region (with half-width margin) for the minimum.
@@ -441,27 +378,13 @@ func anchoredPhasesTo(dst []float64, p *profile.Profile, vz VZone) (times, phase
 // ends). Y-axis comparison needs windows of equal phase depth — the raw
 // detected V-zones span 2π−φ0, which differs per tag — so all tags are
 // measured over the same depth here. The returned phases are anchored like
-// AnchoredPhases.
-func ValleyWindow(p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
-	n := p.Len()
-	if n == 0 || vz.End <= vz.Start {
-		return nil, nil
-	}
-	// Circular unwrap of the whole profile (pooled scratch; the returned
-	// phases below are an owned allocation).
-	sc := unwrapPool.Get().(*unwrapScratch)
-	defer unwrapPool.Put(sc)
-	sc.u = circularUnwrapInto(sc.u, p.Phases)
-	sc.um = dsp.MedianFilterTo(sc.um, sc.u, medianWidth)
-	return valleyWindowCurves(nil, sc.u, sc.um, p, vz, rise)
-}
-
-// ValleyWindow is the package-level ValleyWindow resuming this state's
-// cached unwrap/median curves instead of recomputing them over the whole
-// profile — the streaming engine's Y stage runs it once per tag on every
-// snapshot, which made the from-scratch unwrap an O(stream²) term. Same
-// append-only/Reset contract and bit-identical output as the package
-// function.
+// AnchoredPhases and live in the state's scratch, valid until the state's
+// next ValleyWindow.
+//
+// The unwrap/median curves resume from the state's cache instead of being
+// recomputed over the whole profile — the streaming engine's Y stage runs
+// this once per tag on every snapshot, which made a from-scratch unwrap an
+// O(stream²) term. Same append-only/Reset contract as DetectIncremental.
 func (s *DetectState) ValleyWindow(p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
 	n := p.Len()
 	if n == 0 || vz.End <= vz.Start {
@@ -473,12 +396,9 @@ func (s *DetectState) ValleyWindow(p *profile.Profile, vz VZone, rise float64) (
 	return times, phases
 }
 
-// valleyWindowCurves is the shared body of both ValleyWindow variants over
-// already-computed whole-profile curves: u the circular unwrap, um its
-// median filtering. The returned phases land in dst when its capacity
-// suffices; the package-level entry passes nil so its callers own the
-// result, while DetectState threads its scratch (its callers consume the
-// window within the snapshot).
+// valleyWindowCurves is the body of ValleyWindow over already-computed
+// whole-profile curves: u the circular unwrap, um its median filtering.
+// The returned phases land in dst when its capacity suffices.
 func valleyWindowCurves(dst, u, um []float64, p *profile.Profile, vz VZone, rise float64) (times, phases []float64) {
 	n := p.Len()
 	bottom := vz.Start
@@ -497,8 +417,8 @@ func valleyWindowCurves(dst, u, um []float64, p *profile.Profile, vz VZone, rise
 	}
 	anchor := p.Phases[bottom] - u[bottom]
 	if cap(dst) < end-start {
-		// Geometric growth — the DetectState entry threads this scratch
-		// through every snapshot of a growing window.
+		// Geometric growth — the state threads this scratch through every
+		// snapshot of a growing window.
 		c := 2 * cap(dst)
 		if c < end-start {
 			c = end - start

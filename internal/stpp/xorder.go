@@ -36,27 +36,26 @@ type XKey struct {
 // XKeyOf fits a quadratic to the V-zone of a profile and extracts the
 // bottom time. The V-zone samples are median-filtered and gap-aware
 // unwrapped first: the nadir of a noisy profile may wrap through 0, which
-// would otherwise destroy the parabola.
+// would otherwise destroy the parabola. It is the one-shot form of the
+// per-tag keying stage, run on a fresh DetectState.
 func (c Config) XKeyOf(p *profile.Profile, vz VZone) (XKey, error) {
-	return c.xKeyOf(nil, p, vz)
+	return c.xKeyOf(new(DetectState), p, vz)
 }
 
-// xKeyOf is XKeyOf with the V-zone-length temporaries drawn from a tag's
-// detection state (nil degrades to fresh allocations): the incremental
-// per-tag stage re-keys every dirty tag on every snapshot, and these three
-// buffers were a per-snapshot-linear allocation term.
+// xKeyOf is XKeyOf with the V-zone-length temporaries drawn from the tag's
+// detection state: the incremental per-tag stage re-keys every dirty tag
+// on every snapshot, and these three buffers were a per-snapshot-linear
+// allocation term.
 func (c Config) xKeyOf(st *DetectState, p *profile.Profile, vz VZone) (XKey, error) {
 	// Memo: the key is a pure function of the samples inside [Start, End),
 	// which cannot have changed since the last call — the profile grows
 	// append-only while the state is valid (Reset clears the memo on
 	// re-sorts). vz.Cost is irrelevant to the fit, so only the bounds gate.
-	if st != nil && st.xkValid && st.xkVZ.Start == vz.Start && st.xkVZ.End == vz.End {
+	if st.xkValid && st.xkVZ.Start == vz.Start && st.xkVZ.End == vz.End {
 		return st.xkKey, st.xkErr
 	}
 	k, err := c.xKeyFit(st, p, vz)
-	if st != nil {
-		st.xkVZ, st.xkKey, st.xkErr, st.xkValid = vz, k, err, true
-	}
+	st.xkVZ, st.xkKey, st.xkErr, st.xkValid = vz, k, err, true
 	return k, err
 }
 
@@ -69,12 +68,9 @@ func (c Config) xKeyFit(st *DetectState, p *profile.Profile, vz VZone) (XKey, er
 	// Work on the continuous valley: circular-unwrapped phases anchored at
 	// the wrapped bottom (handles the nadir wrapping through 0), with a
 	// median prefilter against multipath outliers.
-	var unDst, cleanDst, predDst []float64
-	if st != nil {
-		unDst, cleanDst, predDst = st.xkUn, st.xkClean, st.xkPred
-	}
-	times, un := anchoredPhasesTo(unDst, p, vz)
-	clean := dsp.MedianFilterTo(cleanDst, un, c.MedianWidth)
+	times, un := anchoredPhasesTo(st.xkUn, p, vz)
+	clean := dsp.MedianFilterTo(st.xkClean, un, c.MedianWidth)
+	predDst := st.xkPred
 	if cap(predDst) < len(times) {
 		c := 2 * cap(predDst)
 		if c < len(times) {
@@ -82,9 +78,7 @@ func (c Config) xKeyFit(st *DetectState, p *profile.Profile, vz VZone) (XKey, er
 		}
 		predDst = make([]float64, len(times), c)
 	}
-	if st != nil {
-		st.xkUn, st.xkClean, st.xkPred = un, clean, predDst
-	}
+	st.xkUn, st.xkClean, st.xkPred = un, clean, predDst
 
 	q, err := dsp.FitQuadratic(times, clean)
 	if err != nil {

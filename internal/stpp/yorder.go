@@ -60,65 +60,35 @@ type YKey struct {
 	Signed float64
 }
 
-// YKeysOf computes each tag's V-zone segment means and its YKey against
-// the pivot tag (index into profiles). Profiles whose V-zone is unusable
+// yKeys computes each tag's V-zone segment means and its YKey against the
+// pivot tag (the first usable one), windowing each valley through the
+// tag's detection state so the cached unwrap/median curves resume instead
+// of being recomputed per snapshot. Profiles whose V-zone is unusable
 // yield an error at that index in errs; their key is the zero value and
-// they sort adjacent to the pivot.
-func (c Config) YKeysOf(profiles []*profile.Profile, vzones []VZone, pivot int) ([]YKey, []error) {
-	return c.yKeys(nil, nil, profiles, vzones, pivot)
-}
-
-// YKeysOfStates is YKeysOf with per-tag detection states supplying cached
-// unwrap/median curves to the valley windowing: the streaming engine's
-// snapshot cadence calls this once per snapshot over every tag, and the
-// cached curves turn the Y stage from O(profile) per tag back into
-// O(new reads). states may be nil, or hold nil entries for tags without
-// state; those fall back to the from-scratch windowing. Output is
-// bit-identical to YKeysOf either way.
-func (c Config) YKeysOfStates(states []*DetectState, profiles []*profile.Profile, vzones []VZone, pivot int) ([]YKey, []error) {
-	return c.yKeys(nil, states, profiles, vzones, pivot)
-}
-
-// yKeys is the shared body of the public YKey entry points. A non-nil
-// scratch supplies the returned keys/errs slices and the per-tag means
-// (one flat backing array instead of one slice per tag) — the returned
-// slices then alias the scratch and are only valid until its next use;
-// the public entry points pass nil so their results are caller-owned.
-func (c Config) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile.Profile, vzones []VZone, pivot int) ([]YKey, []error) {
+// they sort adjacent to the pivot. The returned keys/errs slices and the
+// per-tag means (one flat backing array instead of one slice per tag)
+// live in the scratch, valid until its next use.
+func (c Config) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile.Profile, vzones []VZone) ([]YKey, []error) {
 	n := len(profiles)
-	var keys []YKey
-	var errs []error
-	var means [][]float64
-	var flat []float64
-	if sc != nil && cap(sc.keys) >= n {
-		keys, errs, means = sc.keys[:n], sc.errs[:n], sc.means[:n]
-		for i := range keys {
-			keys[i], errs[i], means[i] = YKey{}, nil, nil
-		}
-	} else {
-		keys = make([]YKey, n)
-		errs = make([]error, n)
-		means = make([][]float64, n)
-		if sc != nil {
-			sc.keys, sc.errs, sc.means = keys, errs, means
-		}
+	if cap(sc.keys) < n {
+		sc.keys = make([]YKey, n)
+		sc.errs = make([]error, n)
+		sc.means = make([][]float64, n)
+	}
+	keys, errs, means := sc.keys[:n], sc.errs[:n], sc.means[:n]
+	for i := range keys {
+		keys[i], errs[i], means[i] = YKey{}, nil, nil
 	}
 	if n == 0 {
 		return keys, errs
 	}
 	// Reserve the whole flat backing up front: each success appends
 	// exactly YSegments values, so the per-tag subslices stay valid.
-	if sc != nil {
-		if cap(sc.flat) < n*c.YSegments {
-			sc.flat = make([]float64, 0, n*c.YSegments)
-		}
-		flat = sc.flat[:0]
-	} else {
-		flat = make([]float64, 0, n*c.YSegments)
+	if cap(sc.flat) < n*c.YSegments {
+		sc.flat = make([]float64, 0, n*c.YSegments)
 	}
-	if pivot < 0 || pivot >= n {
-		pivot = 0
-	}
+	flat := sc.flat[:0]
+	pivot := 0
 	for i, p := range profiles {
 		vz := vzones[i]
 		if vz.End-vz.Start < c.YSegments {
@@ -128,12 +98,7 @@ func (c Config) yKeys(sc *asmScratch, states []*DetectState, profiles []*profile
 		// Segment means over a fixed-depth valley window so windows are
 		// comparable across tags and a nadir that wraps through 0 does not
 		// corrupt the averages.
-		var phases []float64
-		if states != nil && states[i] != nil {
-			_, phases = states[i].ValleyWindow(p, vz, c.YRiseWindow)
-		} else {
-			_, phases = ValleyWindow(p, vz, c.YRiseWindow)
-		}
+		_, phases := states[i].ValleyWindow(p, vz, c.YRiseWindow)
 		grown, err := segmentMeansAppend(flat, phases, c.YSegments)
 		if err != nil {
 			errs[i] = err

@@ -9,7 +9,7 @@ PR := 10
 # alignment and isolated column fill), the WAL append/recovery paths,
 # checkpointed-recovery flatness and group-commit throughput, the
 # endless-stream lifecycle flatness, and the adaptive publish cadence.
-BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream|BenchmarkAdaptiveCadence
+BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkIngestBody|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream|BenchmarkAdaptiveCadence
 
 # The regression gate: fail the bench step if any of these benchmarks'
 # reads/s drops more than 15% against the committed pre-PR baseline.

@@ -6,8 +6,11 @@
 package main
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 	"time"
@@ -20,6 +23,7 @@ import (
 	"repro/internal/profile"
 	"repro/internal/reader"
 	"repro/internal/scenario"
+	"repro/internal/sched"
 	"repro/internal/serve"
 	"repro/internal/stpp"
 	"repro/internal/trace"
@@ -372,6 +376,93 @@ func BenchmarkDaemonIngest(b *testing.B) {
 		srv.DropSession(sess.ID)
 	}
 	b.ReportMetric(float64(len(reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+}
+
+// BenchmarkIngestBody measures the HTTP ingest handler alone: NDJSON
+// scan, decode, reader validation, batching and enqueue — plus the
+// journal append on a durable (fsync=never) session — per canonical POST
+// body of 64 or 256 reads. The session's consumer runs on a private
+// one-worker scheduler whose worker is parked for the timed POSTs, so no
+// engine work lands in ns/read or B/op; between rounds of POSTs the
+// session is dropped unconsumed and a fresh one takes its place.
+func BenchmarkIngestBody(b *testing.B) {
+	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reads, err := ms.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	hdr := trace.Header{Readers: ms.ReaderMetas()}
+	const round = 256 // POSTs queued per session while the consumer is parked
+	for _, durable := range []bool{false, true} {
+		for _, n := range []int{64, 256} {
+			name := fmt.Sprintf("memory/reads=%d", n)
+			if durable {
+				name = fmt.Sprintf("durable/reads=%d", n)
+			}
+			b.Run(name, func(b *testing.B) {
+				sch := sched.New(1)
+				defer sch.Stop()
+				opts := serve.Options{
+					Config:       ms.Readers[0].Scene.STPPConfig(),
+					Scheduler:    sch,
+					QueueBatches: round,
+				}
+				if durable {
+					opts.DataDir = b.TempDir()
+					opts.Fsync = wal.SyncNever
+				}
+				srv, err := serve.New(opts)
+				if err != nil {
+					b.Fatal(err)
+				}
+				h := srv.Handler()
+				body, err := trace.MarshalReads(reads[:n])
+				if err != nil {
+					b.Fatal(err)
+				}
+				var sess *serve.Session
+				var release chan struct{}
+				reqs := make([]*http.Request, round)
+				drop := func() {
+					if sess != nil {
+						close(release)
+						srv.DropSession(sess.ID)
+					}
+				}
+				next := func() {
+					drop()
+					release = make(chan struct{})
+					sch.Go(nil, func() { <-release })
+					if sess, err = srv.CreateSession(hdr); err != nil {
+						b.Fatal(err)
+					}
+					for i := range reqs {
+						reqs[i] = httptest.NewRequest(http.MethodPost, "/v1/sessions/"+sess.ID+"/reads", bytes.NewReader(body))
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if i%round == 0 {
+						b.StopTimer()
+						next()
+						b.StartTimer()
+					}
+					rec := httptest.NewRecorder()
+					h.ServeHTTP(rec, reqs[i%round])
+					if rec.Code != http.StatusOK {
+						b.Fatalf("POST: %d %s", rec.Code, rec.Body)
+					}
+				}
+				b.StopTimer()
+				drop()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/read")
+			})
+		}
+	}
 }
 
 // BenchmarkAdaptiveCadence is the evidence for change-driven publishing:

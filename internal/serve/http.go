@@ -8,10 +8,12 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 
 	"repro/internal/pipeline"
 	"repro/internal/reader"
 	"repro/internal/trace"
+	"repro/internal/wal"
 )
 
 // CreateResponse answers POST /v1/sessions.
@@ -139,11 +141,19 @@ func (s *Server) session(w http.ResponseWriter, r *http.Request) (*Session, bool
 	return sess, ok
 }
 
+// maxHeaderBody bounds a session-create body (one trace.Header JSON).
+const maxHeaderBody = 1 << 20
+
 func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	var h trace.Header
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxHeaderBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&h); err != nil {
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			writeError(w, http.StatusRequestEntityTooLarge, "session header exceeds %d bytes", tooBig.Limit)
+			return
+		}
 		writeError(w, http.StatusBadRequest, "parse header: %v", err)
 		return
 	}
@@ -155,29 +165,66 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusCreated, CreateResponse{ID: sess.ID})
 }
 
+// maxLine is the longest NDJSON read line an ingest body may carry,
+// its newline included.
+const maxLine = 1 << 20
+
+// linesPool recycles the per-request journal payload buffers of durable
+// ingest (one batch of accepted lines, ≈28 KiB at 256 canonical reads).
+var linesPool = sync.Pool{New: func() any { return new([]byte) }}
+
 // handleReads streams NDJSON read lines into the session queue in
 // MaxBatch chunks. A malformed line or unknown reader ID aborts the body
 // with 400 — reads on earlier lines are already enqueued, mirroring
 // ShardedEngine.Consume's partial-batch semantics. Blocking on a full
 // queue is deliberate: it is the backpressure path.
+//
+// On a durable server each batch is journaled as the accepted lines
+// exactly as received (trimmed, one '\n' each), so the WAL never
+// re-encodes what the client already encoded; recovery decodes those
+// lines with the same trace.UnmarshalRead that accepted them. A batch
+// whose lines would exceed wal.MaxRecord is journaled re-encoded instead.
 func (s *Server) handleReads(w http.ResponseWriter, r *http.Request) {
 	sess, ok := s.session(w, r)
 	if !ok {
 		return
 	}
+	// The scanner starts small and grows only for long lines: a fresh
+	// 1 MiB buffer per POST was most of the daemon's allocation and
+	// memclr time under live load.
 	sc := bufio.NewScanner(r.Body)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
+	sc.Buffer(nil, maxLine)
+	var lines *[]byte // the current batch's accepted lines, if journaled
+	reencode := false // the batch's lines outgrew wal.MaxRecord
+	if s.opts.DataDir != "" {
+		lines = linesPool.Get().(*[]byte)
+		defer func() {
+			// A buffer grown by lines padded towards maxLine is left
+			// to the GC rather than pinned in the pool.
+			if cap(*lines) <= maxLine {
+				*lines = (*lines)[:0]
+				linesPool.Put(lines)
+			}
+		}()
+	}
 	accepted := 0
-	batch := make([]reader.TagRead, 0, s.opts.MaxBatch)
+	var batch []reader.TagRead // allocated on first use: the queue keeps it
 	flush := func() error {
 		if len(batch) == 0 {
 			return nil
 		}
-		if err := sess.Enqueue(batch); err != nil {
+		var rec []byte
+		if lines != nil && !reencode {
+			rec = *lines
+		}
+		if err := sess.enqueue(batch, rec); err != nil {
 			return err
 		}
 		accepted += len(batch)
-		batch = make([]reader.TagRead, 0, s.opts.MaxBatch)
+		batch = nil
+		if lines != nil {
+			*lines, reencode = (*lines)[:0], false
+		}
 		return nil
 	}
 	line := 0
@@ -198,7 +245,17 @@ func (s *Server) handleReads(w http.ResponseWriter, r *http.Request) {
 			s.abortReads(w, flush, "line %d: unknown reader ID %d", line, rd.Reader)
 			return
 		}
+		if batch == nil {
+			batch = make([]reader.TagRead, 0, s.opts.MaxBatch)
+		}
 		batch = append(batch, rd)
+		if lines != nil && !reencode {
+			if len(*lines)+len(raw)+1 > wal.MaxRecord {
+				reencode = true
+			} else {
+				*lines = append(append(*lines, raw...), '\n')
+			}
+		}
 		if len(batch) >= s.opts.MaxBatch {
 			if err := flush(); err != nil {
 				writeError(w, enqueueStatus(err), "%v", err)
@@ -268,7 +325,7 @@ func (s *Server) handleOrder(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusAccepted, errorResponse{Error: "no snapshot published yet"})
 		return
 	}
-	writeJSON(w, http.StatusOK, orderResponse(sess.ID, snap))
+	writeOrder(w, sess.ID, snap)
 }
 
 // handleEmitted pages through the session's emission stream as of its
@@ -362,7 +419,7 @@ func (s *Server) handleFinish(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusUnprocessableEntity, "%v", err)
 		return
 	}
-	writeJSON(w, http.StatusOK, orderResponse(sess.ID, snap))
+	writeOrder(w, sess.ID, snap)
 }
 
 func (s *Server) handleSessionStats(w http.ResponseWriter, r *http.Request) {
@@ -404,6 +461,21 @@ func (s *Server) handleDrop(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.Stats())
+}
+
+// writeOrder answers with a snapshot's order body. A snapshot is
+// immutable once published, so its body is encoded on the first poll and
+// every later poll of the same snapshot gets the same bytes — those
+// writeJSON would produce, trailing newline included.
+func writeOrder(w http.ResponseWriter, id string, snap *Snapshot) {
+	snap.wireOnce.Do(func() {
+		var buf bytes.Buffer
+		json.NewEncoder(&buf).Encode(orderResponse(id, snap))
+		snap.wire = buf.Bytes()
+	})
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	w.Write(snap.wire)
 }
 
 // orderResponse flattens a snapshot for the wire.

@@ -20,7 +20,7 @@ import (
 
 // aisleTrace builds a small two-reader warehouse-aisle trace plus the
 // offline ground result every daemon replay must reproduce.
-func aisleTrace(t *testing.T, seed int64) (*trace.Trace, *deploy.GlobalResult, Options) {
+func aisleTrace(t testing.TB, seed int64) (*trace.Trace, *deploy.GlobalResult, Options) {
 	t.Helper()
 	o := scenario.DefaultAisleOpts(seed)
 	o.Tags = 8
@@ -440,7 +440,8 @@ func TestDropSessionUnblocksProducers(t *testing.T) {
 	}
 }
 
-func ndjson(t *testing.T, reads []reader.TagRead) []byte {
+// ndjson renders reads as the canonical NDJSON body clients send.
+func ndjson(t testing.TB, reads []reader.TagRead) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	for _, rd := range reads {

@@ -55,6 +55,11 @@ type Snapshot struct {
 	// At stamps the snapshot; Latency is how long the engine took.
 	At      time.Time
 	Latency time.Duration
+
+	// wire is the snapshot's /order and /finish body, encoded at most
+	// once (see writeOrder).
+	wireOnce sync.Once
+	wire     []byte
 }
 
 // Session is one deployment's live ingest stream. Producers call Enqueue
@@ -209,6 +214,15 @@ func (s *Session) ValidReader(id int) bool { return s.validID[id] }
 // (per-tag profiles are time-sorted downstream, so the final result does
 // not depend on producer interleaving).
 func (s *Session) Enqueue(batch []reader.TagRead) error {
+	return s.enqueue(batch, nil)
+}
+
+// enqueue is Enqueue with the batch's journal record supplied: lines, when
+// non-nil, are the NDJSON lines the batch was decoded from (trimmed, one
+// '\n' each, every one accepted by trace.UnmarshalRead) and are journaled
+// verbatim; nil lines journal the batch re-encoded. lines are not retained
+// past the call.
+func (s *Session) enqueue(batch []reader.TagRead, lines []byte) error {
 	if len(batch) == 0 {
 		return nil
 	}
@@ -243,7 +257,7 @@ func (s *Session) Enqueue(batch []reader.TagRead) error {
 	// throughout, so Finish (which takes qmu before journaling its marker)
 	// can never interleave the finish record between a batch's journal
 	// append and its enqueue.
-	seq, log, err := s.journalAsync(batch)
+	seq, log, err := s.journalAsync(batch, lines)
 	if err != nil {
 		s.qmu.Unlock()
 		return err
@@ -359,13 +373,20 @@ func (s *Session) attachWAL(l *wal.Log) {
 // AFTER releasing qmu; a nil log (in-memory sessions, boot-recovery
 // replay) is a no-op returning (0, nil, nil). The returned log pointer
 // keeps the wait valid even if the session detaches its WAL concurrently.
-func (s *Session) journalAsync(batch []reader.TagRead) (int64, *wal.Log, error) {
+// The record is lines verbatim when given, else the batch re-encoded.
+func (s *Session) journalAsync(batch []reader.TagRead, lines []byte) (int64, *wal.Log, error) {
 	s.walMu.Lock()
 	defer s.walMu.Unlock()
 	if s.wal == nil {
 		return 0, nil, nil
 	}
-	seq, err := s.wal.AppendBatchAsync(batch)
+	var seq int64
+	var err error
+	if lines != nil {
+		seq, err = s.wal.AppendLinesAsync(lines)
+	} else {
+		seq, err = s.wal.AppendBatchAsync(batch)
+	}
 	if err != nil {
 		s.srv.metrics.WALErrors.Add(1)
 		return 0, nil, fmt.Errorf("serve: wal append: %w", err)
@@ -742,9 +763,12 @@ func (s *Session) terminate() {
 	// keys and orders, not read data. (The final-snapshot path already
 	// published a stripped result.)
 	if snap := s.latest.Load(); snap != nil && !snap.Final {
-		cp := *snap
-		cp.Result = stripProfiles(snap.Result)
-		s.latest.Store(&cp)
+		s.latest.Store(&Snapshot{
+			Result:  stripProfiles(snap.Result),
+			Reads:   snap.Reads,
+			At:      snap.At,
+			Latency: snap.Latency,
+		})
 	}
 	// The engine owner drops the reference on exit: a finished session
 	// keeps just its published snapshot, not the engine's profiles and

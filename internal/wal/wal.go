@@ -1,9 +1,14 @@
 // Package wal is the per-session write-ahead log behind stppd's durable
 // sessions. A log lives in one directory per session and holds a sequence
 // of length/CRC-framed records across numbered segment files: first the
-// session's trace.Header, then one record per accepted read batch (the
-// batch payload is the exact NDJSON trace wire format — the same lines a
-// recorded trace archives), and finally an optional finish marker.
+// session's trace.Header, then one record per accepted read batch, and
+// finally an optional finish marker. A batch payload is NDJSON trace
+// lines: on the HTTP ingest path, the accepted lines exactly as the
+// client sent them, trimmed and newline-terminated (AppendLinesAsync);
+// otherwise, or when those lines would exceed MaxRecord, the batch
+// re-encoded with trace.AppendReads (AppendBatchAsync). Recovery decodes
+// every line with the same trace.UnmarshalRead that accepted it, so a
+// replayed batch is bit-identical to the one the session consumed.
 //
 // Frame layout, little-endian:
 //
@@ -72,7 +77,7 @@ func syncFile(f *os.File) error {
 // Record types.
 const (
 	recHeader     byte = 1 // payload: trace.Header JSON
-	recBatch      byte = 2 // payload: NDJSON read lines (trace.MarshalReads)
+	recBatch      byte = 2 // payload: NDJSON read lines (as received, or trace.AppendReads)
 	recFinish     byte = 3 // payload: empty; the session finished cleanly
 	recCheckpoint byte = 4 // payload: checkpoint envelope (see AppendCheckpoint)
 )
@@ -297,9 +302,9 @@ func (l *Log) AppendBatch(batch []reader.TagRead) error {
 // the producer ack alone gated on the sync — the group-commit shape that
 // amortizes fsync=always to near fsync=never throughput.
 //
-// The NDJSON encoding lands in a log-owned buffer reused across batches
-// (it lives only until the frame is written out), so the journal hot path
-// allocates nothing per batch.
+// It is the batch encoded with trace.AppendReads, then AppendLinesAsync.
+// The encoding lands in a pooled buffer (it lives only until the frame is
+// written out), so the journal hot path allocates nothing per batch.
 func (l *Log) AppendBatchAsync(batch []reader.TagRead) (seq int64, err error) {
 	// Marshal BEFORE taking the log lock: the NDJSON encode of a 256-read
 	// batch costs more than the framed write that follows, and holding mu
@@ -307,17 +312,25 @@ func (l *Log) AppendBatchAsync(batch []reader.TagRead) (seq int64, err error) {
 	// window group commit exists to exploit. Pooled buffers keep the
 	// steady state allocation-free with any number of producers.
 	bp := marshalPool.Get().(*[]byte)
+	defer marshalPool.Put(bp)
 	payload, err := trace.AppendReads((*bp)[:0], batch)
 	if err != nil {
-		marshalPool.Put(bp)
 		return 0, fmt.Errorf("wal: %w", err)
 	}
 	*bp = payload
-	defer marshalPool.Put(bp)
+	return l.AppendLinesAsync(payload)
+}
 
+// AppendLinesAsync journals one batch record whose payload is already
+// NDJSON read lines — an ingest path hands over the lines it just
+// validated instead of having them re-encoded. Durability is as for
+// AppendBatchAsync. The log does not check the payload: every non-empty
+// line must decode with trace.UnmarshalRead, or recovery reads the record
+// as a torn tail. lines is not retained past the call.
+func (l *Log) AppendLinesAsync(lines []byte) (seq int64, err error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if err := l.appendLocked(recBatch, payload); err != nil {
+	if err := l.appendLocked(recBatch, lines); err != nil {
 		return 0, err
 	}
 	if l.opts.Fsync != SyncAlways {

@@ -5,18 +5,21 @@ PR := 10
 
 # The key hot-path benchmarks recorded per PR: the snapshot-cadence
 # evidence, streaming vs batch, the daemon ingest path, the isolated
-# blocked multi-tag detection pass, the segment-DTW kernel (whole
-# alignment and isolated column fill), the WAL append/recovery paths,
+# cold 16-tag detection pass (BlockedDetect: the name predates the
+# removal of the interleaved fill; it now times LocalizeTagIncremental
+# per tag), the segment-DTW kernel (whole alignment and isolated column
+# fill), the WAL append/recovery paths,
 # checkpointed-recovery flatness and group-commit throughput, the
 # endless-stream lifecycle flatness, and the adaptive publish cadence.
 BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkIngestBody|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream|BenchmarkAdaptiveCadence
 
 # The regression gate: fail the bench step if any of these benchmarks'
 # reads/s drops more than 15% against the committed pre-PR baseline.
-# SnapshotCadence/snapshots=32 and BlockedDetect join this PR — the
-# cache-blocked detection and incremental-stitch work is exactly what
-# they measure (BlockedDetect is new, so absent from the baseline and
-# skipped until PR 11's baseline records it).
+# SnapshotCadence/snapshots=32 and BlockedDetect cover the detection and
+# incremental-stitch work (BlockedDetect is absent from the committed
+# baseline, so the gate skips it until a baseline records it).
+# BlockedDetect keeps its name and its 16 tags now that detection runs
+# one tag at a time.
 GATE := BenchmarkDaemonIngest,BenchmarkSnapshotCadence/snapshots=32,BenchmarkBlockedDetect,BenchmarkRecovery,BenchmarkWALAppend,BenchmarkEndlessStream,BenchmarkAdaptiveCadence
 
 .PHONY: test build bench fmt vet
@@ -49,7 +52,7 @@ bench:
 	go test -run xxx -bench '$(BENCH_PATTERN)' -benchmem -benchtime 2s -count 1 . | tee BENCH_$(PR).txt
 	go run ./cmd/bench2json -pr $(PR) -baseline bench/baseline_$(PR).txt -current BENCH_$(PR).txt \
 		-gate '$(GATE)' -max-regression 0.15 \
-		-note "baseline = pre-PR-$(PR) tree (per-tag serial detection, full re-stitch and re-merge per snapshot, one engine call per queued batch); current = blocked multi-tag detection over shared reference panels + AVX2 cost pass, incremental order stitching, coalesced queue drain" \
+		-note "baseline = pre-PR-$(PR) tree (per-tag serial detection, full re-stitch and re-merge per snapshot, one engine call per queued batch); current = per-tag detection (one DP fill per tag, the 4-lane interleave removed) over shared reference panels + AVX2 cost pass, incremental order stitching, coalesced queue drain" \
 		> BENCH_$(PR).json
 	go test -run xxx -bench 'BenchmarkDaemonIngest$$' -benchtime 2s -count 1 \
 		-cpuprofile BENCH_$(PR).cpu.pprof -o repro.test .

@@ -41,13 +41,15 @@ func TestSegmentedAlignAllocs(t *testing.T) {
 	}
 }
 
-// TestBlockedDetectAllocs pins the blocked multi-tag detection pass —
-// LocalizeTagsIncremental feeding dtw.AlignBatch over a 16-tag run — at
-// one allocation per tag, amortized. In steady state the pass recycles
-// everything through pools (the bench measures 0 allocs/op); the per-tag
-// budget only absorbs pool misses under GC pressure, not a regression
-// that re-introduces per-tag garbage (which costs several allocations
-// per tag and trips this immediately).
+// TestBlockedDetectAllocs pins a cold detection pass over a 16-tag
+// population — every tag's state released, then LocalizeTagIncremental
+// re-detecting and X-keying each tag from scratch — at one allocation per
+// tag, amortized. In steady state the pass recycles its DP matrices
+// through the cell free-list and its scratch through the states (the
+// bench measures 0 allocs/op); the per-tag budget only absorbs pool
+// misses under GC pressure, not a regression that re-introduces per-tag
+// garbage (which costs several allocations per tag and trips this
+// immediately).
 func TestBlockedDetectAllocs(t *testing.T) {
 	s, err := scenario.Population(16, true, 0.3, 1)
 	if err != nil {
@@ -66,20 +68,17 @@ func TestBlockedDetectAllocs(t *testing.T) {
 		sts[i] = loc.NewDetectState()
 	}
 	out := make([]stpp.TagResult, len(ps))
-	for i := 0; i < 4; i++ { // warm pools to steady state
-		for _, st := range sts {
+	pass := func() {
+		for i, st := range sts {
 			st.Release()
+			out[i] = loc.LocalizeTagIncremental(st, ps[i])
 		}
-		loc.LocalizeTagsIncremental(sts, ps, out)
 	}
-	allocs := testing.AllocsPerRun(50, func() {
-		for _, st := range sts {
-			st.Release()
-		}
-		loc.LocalizeTagsIncremental(sts, ps, out)
-	})
-	if allocs > float64(len(ps)) {
-		t.Fatalf("blocked detection allocates %.1f/op for %d tags, want <= 1/tag amortized", allocs, len(ps))
+	for i := 0; i < 4; i++ { // warm pools to steady state
+		pass()
+	}
+	if allocs := testing.AllocsPerRun(50, pass); allocs > float64(len(ps)) {
+		t.Fatalf("cold detection allocates %.1f/op for %d tags, want <= 1/tag amortized", allocs, len(ps))
 	}
 }
 
@@ -122,6 +121,8 @@ func TestSnapshotCadenceAllocs(t *testing.T) {
 // encoder into a pooled buffer left only the pool round-trip and the
 // occasional buffer regrowth (it was 771/op — one-plus allocations per
 // read — through PR 6); this guard keeps the marshal path garbage-free.
+// The bound holds only on non-race builds: under -race sync.Pool drops
+// items at random, so the pooled buffer is re-allocated now and then.
 func TestWALAppendAllocs(t *testing.T) {
 	reads, _ := benchReadLog(t)
 	batch := reads[:min(256, len(reads))]
@@ -138,7 +139,7 @@ func TestWALAppendAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
+	if allocs > 4 && !raceEnabled {
 		t.Fatalf("AppendBatch allocates %.1f/op for %d reads, want <= 4", allocs, len(batch))
 	}
 }

@@ -171,14 +171,13 @@ func BenchmarkSegmentFill(b *testing.B) {
 	b.ReportMetric(cells*float64(b.N)/b.Elapsed().Seconds(), "cells/s")
 }
 
-// BenchmarkBlockedDetect isolates the blocked multi-tag detection pass —
-// stpp.LocalizeTagsIncremental over one run of 16 tags, which feeds every
-// tag's DP column fill through dtw.AlignBatch against the detector's
-// shared reference panels — from ingest, queueing and profile building.
-// Each iteration releases the per-tag DP matrices first, so every pass
-// refills all columns of all 16 tags: the cells/s metric is the blocked
-// kernel's throughput on a cold snapshot, directly comparable to
-// BenchmarkSegmentFill's single-tag ceiling.
+// BenchmarkBlockedDetect isolates a cold detection pass over 16 tags —
+// stpp.LocalizeTagIncremental per tag, each tag's DP column fill running
+// against the detector's shared reference panels — from ingest, queueing
+// and profile building. Each iteration releases the per-tag DP matrices
+// first, so every pass refills all columns of all 16 tags: the cells/s
+// metric is the detection kernel's throughput on a cold snapshot,
+// directly comparable to BenchmarkSegmentFill's single-tag ceiling.
 func BenchmarkBlockedDetect(b *testing.B) {
 	s, err := scenario.Population(16, true, 0.3, 1)
 	if err != nil {
@@ -205,14 +204,17 @@ func BenchmarkBlockedDetect(b *testing.B) {
 		reads += p.Len()
 		cells += refSegs * float64(len(p.Segmentize(cfg.Window)))
 	}
-	loc.LocalizeTagsIncremental(sts, ps, out) // warm segmentation caches and pools
+	pass := func() {
+		for i, st := range sts {
+			st.Release()
+			out[i] = loc.LocalizeTagIncremental(st, ps[i])
+		}
+	}
+	pass() // warm segmentation caches and pools
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for _, st := range sts {
-			st.Release()
-		}
-		loc.LocalizeTagsIncremental(sts, ps, out)
+		pass()
 	}
 	b.StopTimer()
 	for _, r := range out {

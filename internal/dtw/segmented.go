@@ -138,10 +138,10 @@ func putCells(c []float64) {
 // per-row panels the column fill reads (range bounds, intervals, and the
 // precomputed vertical-step penalty Stiffness×interval). A detector over a
 // wide tag population builds ONE Reference and hands every tag's aligner a
-// pointer to it, so a blocked detection run streams one copy of the panels
-// through the cache instead of one per tag — and the panels never need
-// re-deriving per aligner. A Reference is immutable after construction and
-// safe for concurrent readers.
+// pointer to it, so the population holds one copy of the panels instead
+// of one per tag — and the panels never need re-deriving per aligner. A
+// Reference is immutable after construction and safe for concurrent
+// readers.
 type Reference struct {
 	p                     []Segment
 	opts                  SegmentAlignOpts
@@ -269,25 +269,9 @@ func (a *SegmentAligner) Release() {
 // next Align on this aligner: callers that retain it across calls must
 // copy it first.
 func (a *SegmentAligner) Align(q []Segment) (Result, int, int) {
-	lo, hi, ok := a.alignStart(q)
-	if !ok {
-		return Result{}, 0, 0
-	}
-	for j := lo; j < hi; j++ {
-		a.extendColumn(j)
-	}
-	return a.alignFinish()
-}
-
-// alignStart is Align's serial front half: prefix-compare the held
-// columns, absorb the new query, and reserve every column this alignment
-// needs. It returns the column range [lo, hi) the caller must fill (via
-// extendColumn, or interleaved with other aligners by AlignBatch) before
-// alignFinish answers the query. ok is false when the alignment is empty.
-func (a *SegmentAligner) alignStart(q []Segment) (lo, hi int, ok bool) {
 	m := len(a.ref.p)
 	if m == 0 || len(q) == 0 {
-		return 0, 0, false
+		return Result{}, 0, 0
 	}
 	a.cm.m = m
 	if cap(a.cost) < m {
@@ -331,13 +315,10 @@ func (a *SegmentAligner) alignStart(q []Segment) (lo, hi int, ok bool) {
 		a.lastRow = a.lastRow[:len(q)]
 	}
 	a.fillLo = cp
-	return cp, len(q), true
-}
+	for j := cp; j < len(q); j++ {
+		a.extendColumn(j)
+	}
 
-// alignFinish is Align's serial back half, run after every column from
-// alignStart's range has been filled: the free-end scan and traceback.
-func (a *SegmentAligner) alignFinish() (Result, int, int) {
-	m := len(a.ref.p)
 	// Free end: pick the cheapest cell in the last reference row — read
 	// from the contiguous mirror, not the strided matrix. Ties prefer the
 	// latest end so zero-cost plateaus match the whole pattern region
@@ -400,7 +381,11 @@ func (a *SegmentAligner) rebuildAll() {
 // halves the work on that critical path.
 func (a *SegmentAligner) extendColumn(j int) {
 	m := len(a.ref.p)
-	col, prev := a.columnSlices(j, m)
+	// Grow the matrix by column j; the caller (Align or rebuildAll)
+	// reserved the capacity, so this is a reslice.
+	base := (j - a.cm.off) * m
+	a.cm.cells = a.cm.cells[:base+m]
+	col := a.cm.cells[base : base+m : base+m]
 	cost := a.fillCost(j, m)
 
 	// Row 0 is a free start: the first reference segment may match any
@@ -414,13 +399,16 @@ func (a *SegmentAligner) extendColumn(j int) {
 		for i := 1; i < m; i++ {
 			// Fixed association ((cost + col[i−1]) + pVert): float
 			// addition rounds per operation, so regrouping would change
-			// the cell bits that checkpoints and the lane kernels pin.
+			// the cell bits that checkpoints pin.
 			acc = cost[i] + acc + pVert[i]
 			col[i] = acc
 		}
 		a.lastRow[0] = acc
 		return
 	}
+	// Column j−1; j is past the first held column here (a tail-restored
+	// matrix always resumes after its offset).
+	prev := a.cm.cells[base-m : base : base]
 	horiz := a.ref.opts.Stiffness * a.q[j].Interval
 	diag := prev[0]
 	for i := 1; i < m; i++ {
@@ -436,19 +424,6 @@ func (a *SegmentAligner) extendColumn(j int) {
 		col[i] = acc
 	}
 	a.lastRow[j] = acc
-}
-
-// columnSlices grows the matrix by column j and returns it plus column
-// j−1 (nil when j is the first held column). Capacity was reserved by
-// alignStart, so the growth is a reslice.
-func (a *SegmentAligner) columnSlices(j, m int) (col, prev []float64) {
-	base := (j - a.cm.off) * m
-	a.cm.cells = a.cm.cells[:base+m]
-	col = a.cm.cells[base : base+m : base+m]
-	if j > a.cm.off {
-		prev = a.cm.cells[base-m : base : base]
-	}
-	return col, prev
 }
 
 // fillCost is the fill's first pass for column j: the pointwise matching
@@ -488,245 +463,6 @@ func (a *SegmentAligner) fillCost(j, m int) []float64 {
 		cost[i] = t * d
 	}
 	return cost
-}
-
-// BatchAlign is one aligner's answer from AlignBatch — exactly the three
-// values Align returns: the open-end result plus the matched start and
-// end columns. Res.Path aliases the owning aligner's scratch, like Align.
-type BatchAlign struct {
-	Res        Result
-	Start, End int
-}
-
-// blockLane is one aligner's pending column range during AlignBatch.
-type blockLane struct {
-	a     *SegmentAligner
-	j, hi int
-}
-
-// laneScratch pools AlignBatch's bookkeeping so a blocked detection run
-// allocates nothing beyond what the per-aligner Aligns themselves would.
-type laneScratch struct {
-	lanes []blockLane
-	ok    []bool
-}
-
-var lanePool = sync.Pool{New: func() any { return new(laneScratch) }}
-
-// AlignBatch answers the open-end query for a run of aligners at once:
-// out[k] is byte-identical to as[k].Align(qs[k]), including every DP cell
-// value, path and tie-break. The difference is purely mechanical — the
-// column fills of aligners sharing a Reference are interleaved four at a
-// time, so one pass over the shared panels feeds four independent DP
-// recurrences. That matters because the fill's sequential pass carries a
-// loop dependency (col[i] needs col[i−1]) whose floating-point latency a
-// single tag cannot hide; four independent accumulator chains keep the FP
-// units busy, and the shared panel streams are read once per group
-// instead of once per tag. Aligners must be distinct; lanes over
-// different References simply fill in smaller groups.
-//
-// as, qs and out must have equal length. Like Align, each out entry's
-// Path aliases its aligner's scratch, overwritten by that aligner's next
-// alignment.
-func AlignBatch(as []*SegmentAligner, qs [][]Segment, out []BatchAlign) {
-	sc, _ := lanePool.Get().(*laneScratch)
-	if sc == nil {
-		sc = new(laneScratch)
-	}
-	lanes := sc.lanes[:0]
-	oks := sc.ok[:0]
-	for k, a := range as {
-		lo, hi, ok := a.alignStart(qs[k])
-		oks = append(oks, ok)
-		if !ok {
-			out[k] = BatchAlign{}
-			continue
-		}
-		// Seed pass: a lane's first-ever column has no predecessor — the
-		// fused kernel assumes one — so fill it serially; only brand-new
-		// tags (or full rebuilds) hit this, once.
-		if lo == 0 {
-			a.extendColumn(0)
-			lo = 1
-		}
-		if lo < hi {
-			lanes = append(lanes, blockLane{a: a, j: lo, hi: hi})
-		}
-	}
-	for len(lanes) > 0 {
-		// Group up to four lanes over the first lane's Reference and fill
-		// in lockstep until the shortest of them drains; singletons and
-		// odd tails fall back to the serial column loop.
-		ref := lanes[0].a.ref
-		var pick [4]*blockLane
-		np := 0
-		for i := 0; i < len(lanes) && np < 4; i++ {
-			if lanes[i].a.ref == ref {
-				pick[np] = &lanes[i]
-				np++
-			}
-		}
-		switch np {
-		case 4:
-			l0, l1, l2, l3 := pick[0], pick[1], pick[2], pick[3]
-			n := min(min(l0.hi-l0.j, l1.hi-l1.j), min(l2.hi-l2.j, l3.hi-l3.j))
-			for s := 0; s < n; s++ {
-				extendCols4(ref, l0.a, l0.j, l1.a, l1.j, l2.a, l2.j, l3.a, l3.j)
-				l0.j++
-				l1.j++
-				l2.j++
-				l3.j++
-			}
-		case 2, 3:
-			l0, l1 := pick[0], pick[1]
-			n := min(l0.hi-l0.j, l1.hi-l1.j)
-			for s := 0; s < n; s++ {
-				extendCols2(ref, l0.a, l0.j, l1.a, l1.j)
-				l0.j++
-				l1.j++
-			}
-		default:
-			l0 := pick[0]
-			for ; l0.j < l0.hi; l0.j++ {
-				l0.a.extendColumn(l0.j)
-			}
-		}
-		w := 0
-		for _, ln := range lanes {
-			if ln.j < ln.hi {
-				lanes[w] = ln
-				w++
-			}
-		}
-		lanes = lanes[:w]
-	}
-	for k, a := range as {
-		if oks[k] {
-			out[k].Res, out[k].Start, out[k].End = a.alignFinish()
-		}
-	}
-	sc.lanes = lanes[:0]
-	sc.ok = oks[:0]
-	lanePool.Put(sc)
-}
-
-// extendCols4 fills one DP column for each of four aligners over the same
-// Reference: pass 1 (the pointwise costs) runs per lane — it is already
-// dependency-free — and pass 2 runs the four sequential min-of-three
-// recurrences interleaved, four independent loop-carried accumulator
-// chains overlapping where a single chain's FP latency stalls. Each lane
-// executes exactly the operations extendColumn would run for it, in the
-// same order, so the cells are bit-identical. Every lane's column index
-// must be past its first held column (callers seed column 0 serially).
-func extendCols4(ref *Reference, a0 *SegmentAligner, j0 int, a1 *SegmentAligner, j1 int, a2 *SegmentAligner, j2 int, a3 *SegmentAligner, j3 int) {
-	m := len(ref.p)
-	col0, prev0 := a0.columnSlices(j0, m)
-	col1, prev1 := a1.columnSlices(j1, m)
-	col2, prev2 := a2.columnSlices(j2, m)
-	col3, prev3 := a3.columnSlices(j3, m)
-	c0 := a0.fillCost(j0, m)
-	c1 := a1.fillCost(j1, m)
-	c2 := a2.fillCost(j2, m)
-	c3 := a3.fillCost(j3, m)
-	st := ref.opts.Stiffness
-	h0 := st * a0.q[j0].Interval
-	h1 := st * a1.q[j1].Interval
-	h2 := st * a2.q[j2].Interval
-	h3 := st * a3.q[j3].Interval
-	acc0, acc1, acc2, acc3 := c0[0], c1[0], c2[0], c3[0]
-	col0[0], col1[0], col2[0], col3[0] = acc0, acc1, acc2, acc3
-	pVert := ref.pVert[:m]
-	// The diagonal operand is re-loaded as prev[i−1] instead of carried in
-	// a register like extendColumn does: four lanes' acc/diag/horiz
-	// registers plus temporaries exceed the sixteen XMM registers, and the
-	// resulting spills land on the very accumulator chains the interleave
-	// exists to overlap. prev[i−1] was loaded last iteration, so the
-	// re-load hits L1 and sits off the critical path. Same value, same
-	// bits.
-	for i := 1; i < m; i++ {
-		v := pVert[i]
-		b0 := acc0 + v
-		if l := prev0[i] + h0; l < b0 {
-			b0 = l
-		}
-		if d := prev0[i-1]; d < b0 {
-			b0 = d
-		}
-		acc0 = c0[i] + b0
-		col0[i] = acc0
-		b1 := acc1 + v
-		if l := prev1[i] + h1; l < b1 {
-			b1 = l
-		}
-		if d := prev1[i-1]; d < b1 {
-			b1 = d
-		}
-		acc1 = c1[i] + b1
-		col1[i] = acc1
-		b2 := acc2 + v
-		if l := prev2[i] + h2; l < b2 {
-			b2 = l
-		}
-		if d := prev2[i-1]; d < b2 {
-			b2 = d
-		}
-		acc2 = c2[i] + b2
-		col2[i] = acc2
-		b3 := acc3 + v
-		if l := prev3[i] + h3; l < b3 {
-			b3 = l
-		}
-		if d := prev3[i-1]; d < b3 {
-			b3 = d
-		}
-		acc3 = c3[i] + b3
-		col3[i] = acc3
-	}
-	a0.lastRow[j0] = acc0
-	a1.lastRow[j1] = acc1
-	a2.lastRow[j2] = acc2
-	a3.lastRow[j3] = acc3
-}
-
-// extendCols2 is extendCols4 for a pair — the odd-tail form.
-func extendCols2(ref *Reference, a0 *SegmentAligner, j0 int, a1 *SegmentAligner, j1 int) {
-	m := len(ref.p)
-	col0, prev0 := a0.columnSlices(j0, m)
-	col1, prev1 := a1.columnSlices(j1, m)
-	c0 := a0.fillCost(j0, m)
-	c1 := a1.fillCost(j1, m)
-	st := ref.opts.Stiffness
-	h0 := st * a0.q[j0].Interval
-	h1 := st * a1.q[j1].Interval
-	acc0, acc1 := c0[0], c1[0]
-	col0[0], col1[0] = acc0, acc1
-	d0, d1 := prev0[0], prev1[0]
-	pVert := ref.pVert[:m]
-	for i := 1; i < m; i++ {
-		v := pVert[i]
-		b0 := acc0 + v
-		if l := prev0[i] + h0; l < b0 {
-			b0 = l
-		}
-		if d0 < b0 {
-			b0 = d0
-		}
-		d0 = prev0[i]
-		acc0 = c0[i] + b0
-		col0[i] = acc0
-		b1 := acc1 + v
-		if l := prev1[i] + h1; l < b1 {
-			b1 = l
-		}
-		if d1 < b1 {
-			b1 = d1
-		}
-		d1 = prev1[i]
-		acc1 = c1[i] + b1
-		col1[i] = acc1
-	}
-	a0.lastRow[j0] = acc0
-	a1.lastRow[j1] = acc1
 }
 
 // tracebackStiff reconstructs the optimal path of a stiffness-weighted

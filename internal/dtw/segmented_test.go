@@ -45,7 +45,7 @@ func TestQuickSegDistSymmetric(t *testing.T) {
 // denseOpenEnd is the textbook open-end segment DTW, written independently
 // of SegmentAligner: the full m×n matrix as [][]float64, filled row by row
 // straight from the recurrence — no flat column-major storage, shared
-// panels, cost pass, lane kernels, resumption or free-lists. Row 0 is a
+// panels, cost pass, resumption or free-lists. Row 0 is a
 // free start, the cheapest cell of the last row is the free end (ties
 // prefer the latest end), and the traceback prefers the diagonal, then
 // the vertical step.

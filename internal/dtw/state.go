@@ -78,7 +78,7 @@ func (a *SegmentAligner) AppendState(dst []byte) []byte {
 // growth.
 func (a *SegmentAligner) RestoreState(r *ckpt.Reader) error {
 	// The restored columns are not the ones the held path was traced over;
-	// the next alignFinish must retrace.
+	// the next Align must retrace.
 	a.endValid = false
 	reset := func() {
 		a.q, a.cm.cells, a.cm.off, a.lastStart = a.q[:0], a.cm.cells[:0], 0, 0

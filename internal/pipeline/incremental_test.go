@@ -44,18 +44,12 @@ func TestSnapshotEquivalenceProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1234))
-	// Sweep the detection run size alongside cadence and batch size: one
-	// tag per run, a run small enough to split the dirty set into several,
-	// the localizer's default, and one run covering everything. Blocked
-	// detection must be invisible in the results at every size.
-	blocks := []int{1, 3, loc.DetectBlock(), 1 << 20}
 	for trial := 0; trial < 6; trial++ {
 		reads := base
 		if trial%2 == 1 {
 			reads = perturb(rng, base, 0.08)
 		}
 		eng := NewFromLocalizer(loc, Options{Workers: 1 + rng.Intn(4)})
-		eng.block = blocks[trial%len(blocks)]
 		pos, snaps := 0, 0
 		for pos < len(reads) {
 			n := 1 + rng.Intn(97)

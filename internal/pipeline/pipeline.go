@@ -14,12 +14,12 @@
 // global (cheap) X/Y ordering is re-assembled over cached per-tag results.
 //
 // There is one detection path. stpp owns the per-tag kernel
-// (LocalizeTagsIncremental over runs of DetectBlock tags) and the assembly
-// (AssembleStates); batch stpp.Localizer.Localize runs them once over
-// fresh per-tag states, and this engine runs them snapshot after snapshot
-// over resumed ones. Resumed state answers exactly like fresh state, so
-// every snapshot — per-tag V-zones, X/Y keys and both orders — is
-// identical to stpp.Localizer.LocalizeReads over the same read prefix.
+// (LocalizeTagIncremental) and the assembly (AssembleStates); batch
+// stpp.Localizer.Localize runs them once over fresh per-tag states, and
+// this engine runs them snapshot after snapshot over resumed ones, one
+// scheduler index per dirty tag. Resumed state answers exactly like fresh
+// state, so every snapshot — per-tag V-zones, X/Y keys and both orders —
+// is identical to stpp.Localizer.LocalizeReads over the same read prefix.
 package pipeline
 
 import (
@@ -67,7 +67,6 @@ type Engine struct {
 	loc     *stpp.Localizer
 	builder *profile.Builder
 	workers int
-	block   int // tags per detection run: the localizer's DetectBlock
 	group   *sched.Group
 	cached  map[epcgen2.EPC]stpp.TagResult
 	states  map[epcgen2.EPC]*tagState
@@ -140,7 +139,6 @@ func NewFromLocalizer(loc *stpp.Localizer, opts Options) *Engine {
 		loc:     loc,
 		builder: profile.NewBuilder(),
 		workers: w,
-		block:   loc.DetectBlock(),
 		group:   opts.Group,
 		cached:  make(map[epcgen2.EPC]stpp.TagResult),
 		states:  make(map[epcgen2.EPC]*tagState),
@@ -225,9 +223,25 @@ func (e *Engine) Consume(batch []reader.TagRead) {
 // alone: a later recompute re-running the detection is a no-op by the
 // incremental contract (byte-identical result, no extra work).
 func (e *Engine) detectOne(epc epcgen2.EPC) stpp.TagResult {
-	p := e.builder.Profile(epc)
+	ts, p, stale := e.stateFor(epc)
+	if !stale {
+		return e.cached[epc]
+	}
+	tr := e.loc.LocalizeTagIncremental(ts.det, p)
+	e.cached[epc] = tr
+	return tr
+}
+
+// stateFor returns a tag's current profile and its resumable detection
+// state — created on first sight, rebuilt when the sort changed history
+// (generation bump). stale is false when the profile is provably unchanged
+// since the cached result (same generation, same length): by the
+// incremental contract a re-detection would return that result bit for
+// bit. A stale state is stamped with the length it is about to detect.
+func (e *Engine) stateFor(epc epcgen2.EPC) (ts *tagState, p *profile.Profile, stale bool) {
+	p = e.builder.Profile(epc)
 	gen := e.builder.Generation(epc)
-	ts := e.states[epc]
+	ts = e.states[epc]
 	if ts == nil {
 		ts = &tagState{det: e.loc.NewDetectState(), gen: gen}
 		e.states[epc] = ts
@@ -235,12 +249,10 @@ func (e *Engine) detectOne(epc epcgen2.EPC) stpp.TagResult {
 		ts.det.Reset()
 		ts.gen = gen
 	} else if ts.detLen == p.Len() {
-		return e.cached[epc]
+		return ts, p, false
 	}
 	ts.detLen = p.Len()
-	tr := e.loc.LocalizeTagIncremental(ts.det, p)
-	e.cached[epc] = tr
-	return tr
+	return ts, p, true
 }
 
 func (e *Engine) markFinal(epc epcgen2.EPC) {
@@ -287,13 +299,13 @@ func (e *Engine) Snapshot() (*stpp.Result, error) {
 }
 
 // recompute refreshes the cached per-tag results for the given tags,
-// fanning cache-budgeted runs of the blocked detection kernel out across
-// the worker pool. Tags whose profile is provably unchanged since their
-// cached result — same builder generation, same length — are skipped
-// outright: the dirty mark alone does not imply new work (detectOne
-// leaves it set, and a read dropped by lifecycle admission dirties
-// nothing), and by the incremental contract a re-detection of an
-// unchanged profile returns the cached result bit for bit.
+// fanning the per-tag detections out across the worker pool. Tags whose
+// profile is provably unchanged since their cached result — same builder
+// generation, same length — are skipped outright: the dirty mark alone
+// does not imply new work (detectOne leaves it set, and a read dropped by
+// lifecycle admission dirties nothing), and by the incremental contract a
+// re-detection of an unchanged profile returns the cached result bit for
+// bit.
 func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	// The builder is read from worker goroutines: force any lazy re-sort to
 	// happen here, serially, so workers see quiescent profiles — and pick
@@ -301,19 +313,10 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	// history (generation bump).
 	e.ps, e.sts, e.depcs = e.ps[:0], e.sts[:0], e.depcs[:0]
 	for _, epc := range dirty {
-		p := e.builder.Profile(epc)
-		gen := e.builder.Generation(epc)
-		ts := e.states[epc]
-		if ts == nil {
-			ts = &tagState{det: e.loc.NewDetectState(), gen: gen}
-			e.states[epc] = ts
-		} else if ts.gen != gen {
-			ts.det.Reset()
-			ts.gen = gen
-		} else if ts.detLen == p.Len() {
+		ts, p, stale := e.stateFor(epc)
+		if !stale {
 			continue
 		}
-		ts.detLen = p.Len()
 		e.ps = append(e.ps, p)
 		e.sts = append(e.sts, ts.det)
 		e.depcs = append(e.depcs, epc)
@@ -324,13 +327,13 @@ func (e *Engine) recompute(dirty []epcgen2.EPC) {
 	}
 	e.results = e.results[:n]
 	results := e.results
-	fillRun := func(lo, hi int) {
-		e.loc.LocalizeTagsIncremental(e.sts[lo:hi], e.ps[lo:hi], results[lo:hi])
+	fill := func(i int) {
+		results[i] = e.loc.LocalizeTagIncremental(e.sts[i], e.ps[i])
 	}
 	if e.group != nil {
-		e.group.ForRuns(e.workers, n, e.block, fillRun)
+		e.group.For(e.workers, n, fill)
 	} else {
-		sched.Default().ForRuns(nil, e.workers, n, e.block, fillRun)
+		sched.Default().For(nil, e.workers, n, fill)
 	}
 	for i, epc := range e.depcs {
 		e.cached[epc] = results[i]

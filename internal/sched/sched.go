@@ -21,15 +21,14 @@
 //   - Spawned tasks (Go): plain closures, e.g. one ingest session's queue
 //     drain. They run exactly once on some worker.
 //
-//   - Parallel-for jobs (For/ForBlocked/ForRuns): fn(i) over [0, n) with
-//     the result-slot contract — fn(i) may write slot i of a caller-owned
-//     slice and the caller observes every write after For returns,
-//     regardless of which worker ran which index. Indices are
-//     claimed from a shared atomic cursor in contiguous blocks (the
-//     cache-blocked runs batched detection wants), so "stealing" part of a
-//     job is a single atomic add, and the claim order is ascending. The
-//     CALLER participates too: For always makes progress even with every
-//     worker busy elsewhere, which is what makes nested For deadlock-free.
+//   - Parallel-for jobs (For): fn(i) over [0, n) with the result-slot
+//     contract — fn(i) may write slot i of a caller-owned slice and the
+//     caller observes every write after For returns, regardless of which
+//     worker ran which index. Indices are claimed one at a time from a
+//     shared atomic cursor, so "stealing" part of a job is a single atomic
+//     add, and the claim order is ascending. The CALLER participates too:
+//     For always makes progress even with every worker busy elsewhere,
+//     which is what makes nested For deadlock-free.
 //     A participating worker re-posts a join ticket for the job onto its
 //     own deque while work remains, so discovery propagates worker to
 //     worker without a central scan.
@@ -81,12 +80,6 @@ func (g *Group) Go(fn func()) { g.s.Go(g, fn) }
 // For runs fn(i) over [0, n) under this group. See (*Scheduler).For.
 func (g *Group) For(maxPar, n int, fn func(int)) { g.s.For(g, maxPar, n, fn) }
 
-// ForRuns hands each claimed block to fn as a [lo, hi) range. See
-// (*Scheduler).ForRuns.
-func (g *Group) ForRuns(maxPar, n, block int, fn func(lo, hi int)) {
-	g.s.ForRuns(g, maxPar, n, block, fn)
-}
-
 // item is one deque/queue entry: either a spawned task (fn != nil) or a
 // join ticket for a parallel-for job (job != nil).
 type item struct {
@@ -96,16 +89,12 @@ type item struct {
 }
 
 // forJob is one parallel-for in flight. Participants claim ascending
-// blocks of indices from next; done counts finished indices and the last
-// finisher closes fin.
+// indices from next; done counts finished indices and the last finisher
+// closes fin.
 type forJob struct {
-	g *Group
-	// Exactly one of fn / fnRun is set: fn receives single indices, fnRun
-	// whole claimed [lo, hi) ranges (ForRuns).
+	g      *Group
 	fn     func(int)
-	fnRun  func(lo, hi int)
 	n      int64
-	block  int64
 	maxPar int32
 	next   atomic.Int64
 	done   atomic.Int64
@@ -236,21 +225,10 @@ func (s *Scheduler) injectLocked(g *Group, it item) {
 // caller participates, so For completes even if every worker is busy —
 // nested For from inside a task cannot deadlock. Result-slot contract:
 // writes fn makes to slot i are visible to the caller after For returns.
-// maxPar <= 1 or n <= 1 degrades to a plain serial loop.
+// maxPar == 1 or n == 1 degrades to a plain serial loop.
 func (s *Scheduler) For(g *Group, maxPar, n int, fn func(int)) {
-	s.ForBlocked(g, maxPar, n, 1, fn)
-}
-
-// ForBlocked is For with indices claimed in contiguous blocks of the
-// given size: participants grab [i, i+block) per atomic claim, so per-tag
-// detection can run in cache-blocked batches instead of bouncing single
-// indices between workers. block <= 0 means 1.
-func (s *Scheduler) ForBlocked(g *Group, maxPar, n, block int, fn func(int)) {
 	if maxPar <= 0 {
 		maxPar = s.nworkers + 1
-	}
-	if block <= 0 {
-		block = 1
 	}
 	if n <= 0 {
 		return
@@ -268,56 +246,9 @@ func (s *Scheduler) ForBlocked(g *Group, maxPar, n, block int, fn func(int)) {
 		g:      g,
 		fn:     fn,
 		n:      int64(n),
-		block:  int64(block),
 		maxPar: int32(maxPar),
 		fin:    make(chan struct{}),
 	}
-	s.runJob(g, j)
-}
-
-// ForRuns is ForBlocked with the block handed to fn whole: each claimed
-// range [lo, hi) — block wide except possibly the last — is one fn call,
-// so a batched kernel can process the run in one pass instead of being
-// re-entered per index. The serial degrade (maxPar <= 1, or a single
-// block's worth of work) still chunks by block, so fn sees the same run
-// shapes regardless of parallelism.
-func (s *Scheduler) ForRuns(g *Group, maxPar, n, block int, fn func(lo, hi int)) {
-	if maxPar <= 0 {
-		maxPar = s.nworkers + 1
-	}
-	if block <= 0 {
-		block = 1
-	}
-	if n <= 0 {
-		return
-	}
-	if maxPar == 1 || n <= block {
-		for lo := 0; lo < n; lo += block {
-			hi := lo + block
-			if hi > n {
-				hi = n
-			}
-			fn(lo, hi)
-		}
-		return
-	}
-	if g == nil {
-		g = &s.defGroup
-	}
-	j := &forJob{
-		g:      g,
-		fnRun:  fn,
-		n:      int64(n),
-		block:  int64(block),
-		maxPar: int32(maxPar),
-		fin:    make(chan struct{}),
-	}
-	s.runJob(g, j)
-}
-
-// runJob announces a for-job so idle workers can join, works it on the
-// calling goroutine, and waits out stragglers.
-func (s *Scheduler) runJob(g *Group, j *forJob) {
 	// Announce the job so idle workers can join, then work it ourselves.
 	s.mu.Lock()
 	if !s.stopped {
@@ -333,7 +264,7 @@ func (s *Scheduler) runJob(g *Group, j *forJob) {
 	}
 }
 
-// work participates in a for-job: claim blocks until the cursor runs dry.
+// work participates in a for-job: claim indices until the cursor runs dry.
 // w is the executing worker, nil for the submitting caller. While
 // substantial work remains and the participant cap allows, a worker
 // re-posts a join ticket onto its own deque so neighbors can steal in.
@@ -350,11 +281,11 @@ func (j *forJob) work(s *Scheduler, w *worker) {
 	j.g.inflight.Add(1)
 	propagated := false
 	for {
-		i := j.next.Add(j.block) - j.block
+		i := j.next.Add(1) - 1
 		if i >= j.n {
 			break
 		}
-		if !propagated && w != nil && j.n-i > j.block && j.par.Load() < j.maxPar {
+		if !propagated && w != nil && j.n-i > 1 && j.par.Load() < j.maxPar {
 			propagated = true
 			s.mu.Lock()
 			if !s.stopped {
@@ -363,18 +294,8 @@ func (j *forJob) work(s *Scheduler, w *worker) {
 			}
 			s.mu.Unlock()
 		}
-		hi := i + j.block
-		if hi > j.n {
-			hi = j.n
-		}
-		if j.fnRun != nil {
-			j.fnRun(int(i), int(hi))
-		} else {
-			for k := i; k < hi; k++ {
-				j.fn(int(k))
-			}
-		}
-		if j.done.Add(hi-i) == j.n {
+		j.fn(int(i))
+		if j.done.Add(1) == j.n {
 			close(j.fin)
 		}
 	}

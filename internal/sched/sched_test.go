@@ -24,16 +24,18 @@ func TestForResultSlots(t *testing.T) {
 	}
 }
 
-// TestForBlocked checks blocked claiming covers every index exactly once.
-func TestForBlocked(t *testing.T) {
+// TestForExactlyOnce checks single-index claiming covers every index
+// exactly once across sizes from two up to far wider than the pool,
+// including one below, at and one past a power of two.
+func TestForExactlyOnce(t *testing.T) {
 	s := New(3)
 	defer s.Stop()
-	for _, block := range []int{1, 2, 7, 64, 1000} {
-		var hits [257]atomic.Int32
-		s.ForBlocked(nil, 0, 257, block, func(i int) { hits[i].Add(1) })
+	for _, n := range []int{2, 7, 63, 64, 65, 257, 1000} {
+		hits := make([]atomic.Int32, n)
+		s.For(nil, 0, n, func(i int) { hits[i].Add(1) })
 		for i := range hits {
 			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("block=%d: index %d ran %d times", block, i, got)
+				t.Fatalf("n=%d: index %d ran %d times", n, i, got)
 			}
 		}
 	}
@@ -184,7 +186,7 @@ func TestStealing(t *testing.T) {
 	s := New(2)
 	defer s.Stop()
 	var inner atomic.Int64
-	s.ForBlocked(nil, 0, 64, 1, func(i int) {
+	s.For(nil, 0, 64, func(i int) {
 		inner.Add(1)
 		time.Sleep(50 * time.Microsecond)
 	})
@@ -240,58 +242,41 @@ func TestConcurrentSubmitters(t *testing.T) {
 	}
 }
 
-// TestForRunsCoverage checks the [lo, hi) run contract across the edge
-// shapes blocked detection produces: n not a multiple of block, block
-// larger than n, and n of zero and one. Every index must be covered
-// exactly once by non-empty runs no longer than block.
-func TestForRunsCoverage(t *testing.T) {
+// TestForGroupCoverage runs a named group's For over the degenerate
+// sizes (zero, one, a handful) and wider ones under every participant
+// cap — serial, a pair, and the full pool plus caller: every index must
+// run exactly once.
+func TestForGroupCoverage(t *testing.T) {
 	s := New(3)
 	defer s.Stop()
-	g := s.NewGroup("runs")
+	g := s.NewGroup("cover")
 	for _, n := range []int{0, 1, 5, 64, 257} {
-		for _, block := range []int{1, 2, 7, 64, 1000} {
+		for _, maxPar := range []int{0, 1, 2, 4} {
 			hits := make([]atomic.Int32, n)
-			g.ForRuns(0, n, block, func(lo, hi int) {
-				if lo >= hi {
-					t.Errorf("n=%d block=%d: empty run [%d,%d)", n, block, lo, hi)
-					return
-				}
-				if hi-lo > block {
-					t.Errorf("n=%d block=%d: run [%d,%d) longer than block", n, block, lo, hi)
-				}
-				for i := lo; i < hi; i++ {
-					hits[i].Add(1)
-				}
-			})
+			g.For(maxPar, n, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("n=%d block=%d: index %d covered %d times", n, block, i, got)
+					t.Fatalf("n=%d maxPar=%d: index %d covered %d times", n, maxPar, i, got)
 				}
 			}
 		}
 	}
 }
 
-// TestForBlockedEdges pins ForBlocked on the same degenerate shapes —
-// remainder tails (len%block != 0), a block wider than the index space,
-// and a single-worker scheduler where the whole job degrades to the
-// serial loop — all through a named group.
-func TestForBlockedEdges(t *testing.T) {
+// TestForEdges pins For on the degenerate shapes — an odd remainder, a
+// handful of indices, a single index and an empty job — on a
+// single-worker scheduler (where the caller and one worker share the
+// job) and a wider one, all through a named group.
+func TestForEdges(t *testing.T) {
 	for _, workers := range []int{1, 3} {
 		s := New(workers)
 		g := s.NewGroup("edges")
-		for _, tc := range []struct{ n, block int }{
-			{10, 3},  // remainder tail
-			{5, 100}, // block > len
-			{1, 4},   // single index
-			{0, 4},   // empty
-		} {
-			hits := make([]atomic.Int32, tc.n)
-			s.ForBlocked(g, 0, tc.n, tc.block, func(i int) { hits[i].Add(1) })
+		for _, n := range []int{10, 5, 2, 1, 0} {
+			hits := make([]atomic.Int32, n)
+			s.For(g, 0, n, func(i int) { hits[i].Add(1) })
 			for i := range hits {
 				if got := hits[i].Load(); got != 1 {
-					t.Fatalf("workers=%d n=%d block=%d: index %d ran %d times",
-						workers, tc.n, tc.block, i, got)
+					t.Fatalf("workers=%d n=%d: index %d ran %d times", workers, n, i, got)
 				}
 			}
 		}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"sync"
 
+	"repro/internal/dtw"
 	"repro/internal/epcgen2"
 	"repro/internal/profile"
 	"repro/internal/reader"
@@ -64,8 +65,6 @@ func (r *Result) YOrderEPCs() []epcgen2.EPC {
 type Localizer struct {
 	cfg Config
 	det *Detector
-	// block is the detection run size (see DetectBlock).
-	block int
 }
 
 // NewLocalizer builds a localizer for the given configuration.
@@ -74,7 +73,7 @@ func NewLocalizer(cfg Config) (*Localizer, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Localizer{cfg: cfg, det: det, block: detectBlock(len(det.refSegs))}, nil
+	return &Localizer{cfg: cfg, det: det}, nil
 }
 
 // Config returns the localizer's configuration.
@@ -98,37 +97,27 @@ func (l *Localizer) LocalizeReads(reads []reader.TagRead) (*Result, error) {
 // times sort last on X, zero keys sort at the pivot on Y).
 //
 // Batch localization is the streaming kernel run once: every tag gets a
-// fresh DetectState, LocalizeTagsIncremental detects and X-keys the tags
-// in runs of DetectBlock, and AssembleStates orders them — exactly the
-// stages pipeline.Engine drives snapshot after snapshot, so a snapshot
-// over a fully consumed stream equals this call by construction. Each
-// run's DP matrices go back to the free-list as soon as the run is keyed;
-// assembly needs only the states' unwrap curves.
+// fresh DetectState, LocalizeTagIncremental detects and X-keys it, and
+// AssembleStates orders them — exactly the stages pipeline.Engine drives
+// snapshot after snapshot, so a snapshot over a fully consumed stream
+// equals this call by construction. Assembly reads only the states' unwrap
+// curves, so each tag's DP matrix goes back to the free-list as soon as
+// the tag is keyed and the released aligner — which recomputes from
+// scratch, exactly like a fresh one — moves on to the next tag: one matrix
+// is live at a time.
 func (l *Localizer) Localize(profiles []*profile.Profile) (*Result, error) {
 	if len(profiles) == 0 {
 		return nil, fmt.Errorf("stpp: no profiles")
 	}
-	n := len(profiles)
-	tags := make([]TagResult, n)
-	states := make([]*DetectState, n)
-	for i := range states {
-		states[i] = l.det.NewDetectState()
-	}
-	for lo := 0; lo < n; lo += l.block {
-		hi := min(lo+l.block, n)
-		l.LocalizeTagsIncremental(states[lo:hi], profiles[lo:hi], tags[lo:hi])
-		// Assembly reads only the states' unwrap curves, so a keyed tag is
-		// done aligning: its DP matrix goes back to the free-list and the
-		// released aligner — which recomputes from scratch, exactly like a
-		// fresh one — moves on with its per-row scratch to the tag in the
-		// same slot of the next run.
-		for i := lo; i < hi; i++ {
-			states[i].al.Release()
-			if j := i + l.block; j < n {
-				states[j].al = states[i].al
-			}
-			states[i].al = nil
-		}
+	tags := make([]TagResult, len(profiles))
+	states := make([]*DetectState, len(profiles))
+	al := dtw.NewSharedAligner(l.det.refAl)
+	for i, p := range profiles {
+		st := l.det.newDetectState(al)
+		tags[i] = l.LocalizeTagIncremental(st, p)
+		al.Release()
+		st.al = nil
+		states[i] = st
 	}
 	return l.AssembleStates(tags, states), nil
 }

@@ -28,9 +28,8 @@ type Detector struct {
 	refVS, refVE int
 	refSegs      []dtw.Segment
 	// refAl is the shared flat-panel form of refSegs: every DetectState's
-	// aligner references it instead of owning a private copy, which is what
-	// lets a blocked detection pass interleave several tags' DP fills over
-	// one panel load (dtw.AlignBatch).
+	// aligner references it instead of owning a private copy, so a wide
+	// tag population holds one copy of the panels.
 	refAl *dtw.Reference
 	// segment indices of the reference V-zone within refSegs
 	refSegVS, refSegVE int
@@ -118,10 +117,12 @@ type DetectState struct {
 
 // NewDetectState allocates the incremental detection state for one tag.
 func (d *Detector) NewDetectState() *DetectState {
-	return &DetectState{
-		segs: profile.NewSegmentCache(d.cfg.Window),
-		al:   dtw.NewSharedAligner(d.refAl),
-	}
+	return d.newDetectState(dtw.NewSharedAligner(d.refAl))
+}
+
+// newDetectState builds a state around an existing aligner over refAl.
+func (d *Detector) newDetectState(al *dtw.SegmentAligner) *DetectState {
+	return &DetectState{segs: profile.NewSegmentCache(d.cfg.Window), al: al}
 }
 
 // Reset invalidates the state after the tag's profile changed other than
@@ -223,14 +224,6 @@ func (d *Detector) DetectIncremental(st *DetectState, p *profile.Profile) (VZone
 		return VZone{}, fmt.Errorf("stpp: empty segmentation")
 	}
 	res, _, _ := st.al.Align(segs)
-	return d.vzoneFromAlignment(st, p, segs, res)
-}
-
-// vzoneFromAlignment maps an open-end alignment of the reference against
-// the measured segmentation onto the measured profile and refines the
-// candidate with the state's cached unwrap/median curves — the back half
-// shared by DetectIncremental and the blocked LocalizeTagsIncremental.
-func (d *Detector) vzoneFromAlignment(st *DetectState, p *profile.Profile, segs []dtw.Segment, res dtw.Result) (VZone, error) {
 	if len(res.Path) == 0 {
 		return VZone{}, fmt.Errorf("stpp: alignment produced no path")
 	}

@@ -467,13 +467,13 @@ func BenchmarkIngestBody(b *testing.B) {
 	}
 }
 
-// BenchmarkAdaptiveCadence is the evidence for change-driven publishing:
-// the same aisle stream pushed through the serve layer at an aggressive
-// fixed publish interval versus the adaptive cadence (-publish-min-delta
-// 0.01). Once the stitched order stops moving between publishes, the
-// adaptive run backs its interval off up to 8× and skips the redundant
-// snapshots, so it clears the stream faster at identical final output —
-// snapshots/op and reads/s show the shed work and the throughput win.
+// BenchmarkAdaptiveCadence pushes the aisle stream through the serve
+// layer at a tight fixed publish interval (a snapshot every 200 reads):
+// the serve-level cost of frequent publishing, snapshots/op next to
+// reads/s. The name is historical — it once compared this cadence with a
+// change-driven one that has since been removed — and is kept, with the
+// cadence=fixed sub-benchmark, so the recorded baselines and the
+// regression gate still match it.
 func BenchmarkAdaptiveCadence(b *testing.B) {
 	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
 	if err != nil {
@@ -484,44 +484,35 @@ func BenchmarkAdaptiveCadence(b *testing.B) {
 		b.Fatal(err)
 	}
 	hdr := trace.Header{Readers: ms.ReaderMetas()}
-	for _, bc := range []struct {
-		name     string
-		minDelta float64
-	}{{"cadence=fixed", 0}, {"cadence=adaptive", 0.01}} {
-		b.Run(bc.name, func(b *testing.B) {
-			srv, err := serve.New(serve.Options{
-				Config:          ms.Readers[0].Scene.STPPConfig(),
-				PublishEvery:    200,
-				PublishMinDelta: bc.minDelta,
-			})
+	b.Run("cadence=fixed", func(b *testing.B) {
+		srv, err := serve.New(serve.Options{
+			Config:       ms.Readers[0].Scene.STPPConfig(),
+			PublishEvery: 200,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			sess, err := srv.CreateSession(hdr)
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				sess, err := srv.CreateSession(hdr)
-				if err != nil {
+			for start := 0; start < len(reads); start += 200 {
+				end := min(start+200, len(reads))
+				if err := sess.Enqueue(reads[start:end]); err != nil {
 					b.Fatal(err)
 				}
-				for start := 0; start < len(reads); start += 200 {
-					end := min(start+200, len(reads))
-					if err := sess.Enqueue(reads[start:end]); err != nil {
-						b.Fatal(err)
-					}
-				}
-				if _, err := sess.Finish(); err != nil {
-					b.Fatal(err)
-				}
-				srv.DropSession(sess.ID)
 			}
-			m := srv.Metrics()
-			if bc.minDelta > 0 && m.PublishesDamped.Load() == 0 {
-				b.Fatal("adaptive cadence never damped; the bench premise is broken")
+			if _, err := sess.Finish(); err != nil {
+				b.Fatal(err)
 			}
-			b.ReportMetric(float64(m.Snapshots.Load())/float64(b.N), "snapshots/op")
-			b.ReportMetric(float64(len(reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
-		})
-	}
+			srv.DropSession(sess.ID)
+		}
+		m := srv.Metrics()
+		b.ReportMetric(float64(m.Snapshots.Load())/float64(b.N), "snapshots/op")
+		b.ReportMetric(float64(len(reads))*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+	})
 }
 
 // --- durability: the WAL hot path and boot-time recovery ---

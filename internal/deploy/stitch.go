@@ -35,10 +35,10 @@ func MergeOrders(orders [][]epcgen2.EPC) []epcgen2.EPC {
 // ranking) — so the fold's prefix results are usually reusable. The
 // cache keeps each input order and the fold result after merging it;
 // merge re-runs the LCS stitch only from the first shard whose order
-// changed (equality is the metrics.OrderDelta == 0 contract: same EPCs
-// in the same sequence). A fresh cache — or any miss pattern — produces
-// byte-identical output to MergeOrders: hits short-circuit a pure
-// function on equal inputs, nothing else.
+// changed (equal means the same EPCs in the same sequence). A fresh
+// cache — or any miss pattern — produces byte-identical output to
+// MergeOrders: hits short-circuit a pure function on equal inputs,
+// nothing else.
 //
 // Cached slices are never mutated after insertion: the inputs come from
 // Result.XOrderEPCs/YOrderEPCs (freshly allocated per call) or

@@ -276,15 +276,3 @@ func Resample(xs, ys []float64, n int) (times, values []float64) {
 	}
 	return times, values
 }
-
-// Downsample keeps every k-th element of xs (k >= 1), starting from index 0.
-func Downsample(xs []float64, k int) []float64 {
-	if k <= 1 {
-		return append([]float64(nil), xs...)
-	}
-	out := make([]float64, 0, (len(xs)+k-1)/k)
-	for i := 0; i < len(xs); i += k {
-		out = append(out, xs[i])
-	}
-	return out
-}

@@ -99,23 +99,6 @@ func TestResampleDegenerate(t *testing.T) {
 	}
 }
 
-func TestDownsample(t *testing.T) {
-	xs := []float64{0, 1, 2, 3, 4, 5, 6}
-	got := Downsample(xs, 3)
-	want := []float64{0, 3, 6}
-	if len(got) != len(want) {
-		t.Fatalf("len = %d, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("Downsample[%d] = %v", i, got[i])
-		}
-	}
-	if got := Downsample(xs, 1); len(got) != len(xs) {
-		t.Errorf("k=1 len = %d", len(got))
-	}
-}
-
 // Property: moving average output is bounded by input min/max.
 func TestQuickMovingAverageBounds(t *testing.T) {
 	f := func(raw []int8) bool {

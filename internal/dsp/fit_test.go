@@ -91,18 +91,6 @@ func TestFitQuadraticErrors(t *testing.T) {
 	}
 }
 
-func TestFitLine(t *testing.T) {
-	xs := []float64{0, 1, 2, 3}
-	ys := []float64{1, 3, 5, 7} // y = 2x + 1
-	m, b, err := FitLine(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !approx(m, 2, 1e-9) || !approx(b, 1, 1e-9) {
-		t.Errorf("m=%v b=%v, want 2,1", m, b)
-	}
-}
-
 func TestFitPolynomialCubic(t *testing.T) {
 	// y = x^3 - x
 	f := func(x float64) float64 { return x*x*x - x }

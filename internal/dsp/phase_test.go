@@ -37,36 +37,6 @@ func TestQuickWrapPhaseRange(t *testing.T) {
 	}
 }
 
-func TestPhaseDiff(t *testing.T) {
-	cases := []struct{ a, b, want float64 }{
-		{1, 0.5, 0.5},
-		{0.1, TwoPi - 0.1, 0.2}, // across the wrap
-		{TwoPi - 0.1, 0.1, -0.2},
-		{0, math.Pi, math.Pi}, // d == -π maps to +π
-	}
-	for _, c := range cases {
-		if got := PhaseDiff(c.a, c.b); !approx(got, c.want, 1e-9) {
-			t.Errorf("PhaseDiff(%v,%v) = %v, want %v", c.a, c.b, got, c.want)
-		}
-	}
-}
-
-func TestQuickPhaseDiffRange(t *testing.T) {
-	f := func(a, b float64) bool {
-		if math.IsNaN(a) || math.IsInf(a, 0) || math.IsNaN(b) || math.IsInf(b, 0) {
-			return true
-		}
-		if diff := a - b; math.IsInf(diff, 0) {
-			return true // a-b overflows float64; out of scope for phase data
-		}
-		d := PhaseDiff(a, b)
-		return d > -math.Pi-1e-9 && d <= math.Pi+1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestUnwrapRamp(t *testing.T) {
 	// A steadily increasing true phase wrapped into [0,2π) must unwrap to a
 	// monotone ramp.
@@ -108,47 +78,5 @@ func TestUnwrapEmptyAndSingle(t *testing.T) {
 	}
 	if got := Unwrap([]float64{1.5}); len(got) != 1 || got[0] != 1.5 {
 		t.Errorf("Unwrap single = %v", got)
-	}
-}
-
-func TestUnwrapGapAware(t *testing.T) {
-	times := []float64{0, 1, 2, 10, 11}
-	phases := []float64{1, 1.2, 1.4, 1.5, 1.7}
-	un := UnwrapGapAware(times, phases, 5)
-	// Before the gap behaves like Unwrap.
-	if !approx(un[1]-un[0], 0.2, 1e-9) {
-		t.Errorf("pre-gap step = %v", un[1]-un[0])
-	}
-	// Across the gap, the value snaps near the previous unwrapped value.
-	if math.Abs(un[3]-un[2]) > math.Pi {
-		t.Errorf("gap jump too large: %v -> %v", un[2], un[3])
-	}
-}
-
-func TestUnwrapGapAwareEmpty(t *testing.T) {
-	if got := UnwrapGapAware(nil, nil, 1); len(got) != 0 {
-		t.Errorf("len = %d", len(got))
-	}
-}
-
-func TestPhaseVelocityConstantRate(t *testing.T) {
-	var times, phases []float64
-	rate := 4.0 // rad/s
-	for i := 0; i < 100; i++ {
-		tt := float64(i) * 0.01
-		times = append(times, tt)
-		phases = append(phases, WrapPhase(rate*tt))
-	}
-	v := PhaseVelocity(times, phases)
-	for i, vi := range v {
-		if !approx(vi, rate, 1e-6) {
-			t.Fatalf("velocity[%d] = %v, want %v", i, vi, rate)
-		}
-	}
-}
-
-func TestPhaseVelocityShort(t *testing.T) {
-	if v := PhaseVelocity([]float64{0}, []float64{1}); len(v) != 1 || v[0] != 0 {
-		t.Errorf("short velocity = %v", v)
 	}
 }

@@ -15,9 +15,6 @@ func TestMeanVarianceStd(t *testing.T) {
 	if v := Variance(xs); !approx(v, 4, 1e-12) {
 		t.Errorf("Variance = %v", v)
 	}
-	if s := StdDev(xs); !approx(s, 2, 1e-12) {
-		t.Errorf("StdDev = %v", s)
-	}
 	if m := Mean(nil); m != 0 {
 		t.Errorf("Mean(nil) = %v", m)
 	}
@@ -112,21 +109,6 @@ func TestCDF(t *testing.T) {
 	}
 	if got := CDF(nil); got != nil {
 		t.Errorf("CDF(nil) = %v", got)
-	}
-}
-
-func TestCDFAt(t *testing.T) {
-	cdf := CDF([]float64{1, 2, 3, 4})
-	cases := []struct{ x, want float64 }{
-		{0.5, 0}, {1, 0.25}, {2.5, 0.5}, {4, 1}, {99, 1},
-	}
-	for _, c := range cases {
-		if got := CDFAt(cdf, c.x); !approx(got, c.want, 1e-12) {
-			t.Errorf("CDFAt(%v) = %v, want %v", c.x, got, c.want)
-		}
-	}
-	if got := CDFAt(nil, 1); got != 0 {
-		t.Errorf("CDFAt(nil) = %v", got)
 	}
 }
 

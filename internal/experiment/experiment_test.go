@@ -23,7 +23,7 @@ func cell(t *testing.T, s string) float64 {
 
 func runQuick(t *testing.T, id string) *Table {
 	t.Helper()
-	tab, err := Run(id, QuickRunner())
+	tab, err := Run(id, Runner{Seed: 1, Reps: 3, Quick: true})
 	if err != nil {
 		t.Fatalf("%s: %v", id, err)
 	}

@@ -27,9 +27,6 @@ type Runner struct {
 	Workers int
 }
 
-// QuickRunner is for smoke tests.
-func QuickRunner() Runner { return Runner{Seed: 1, Reps: 3, Quick: true} }
-
 // reps returns the effective repetition count.
 func (r Runner) reps() int {
 	if r.Reps < 1 {

@@ -152,13 +152,6 @@ func TestMetricsAgainstBruteForce(t *testing.T) {
 		if ref := tauRef(got, want); math.Abs(tau-ref) > 1e-12 {
 			t.Errorf("%v: tau %v, brute force %v", serials, tau, ref)
 		}
-		pa, err := PairwiseAccuracy(got, want)
-		if err != nil {
-			t.Fatalf("%v: %v", serials, err)
-		}
-		if math.Abs(pa-(tau+1)/2) > 1e-12 {
-			t.Errorf("%v: pairwise %v, want (τ+1)/2 = %v", serials, pa, (tau+1)/2)
-		}
 		flagged, err := Misplaced(got, want)
 		if err != nil {
 			t.Fatalf("%v: %v", serials, err)
@@ -174,8 +167,8 @@ func TestMetricsAgainstBruteForce(t *testing.T) {
 }
 
 // TestMetricsErrorPaths: duplicates, disjoint EPC sets and degenerate
-// sizes must error (or define a value) consistently across all three
-// rank metrics — no silent garbage.
+// sizes must error (or define a value) consistently across the rank
+// metrics — no silent garbage.
 func TestMetricsErrorPaths(t *testing.T) {
 	type metricFn struct {
 		name string
@@ -184,7 +177,6 @@ func TestMetricsErrorPaths(t *testing.T) {
 	fns := []metricFn{
 		{"OrderingAccuracy", OrderingAccuracy},
 		{"KendallTau", KendallTau},
-		{"PairwiseAccuracy", PairwiseAccuracy},
 	}
 	bad := []struct {
 		name      string
@@ -223,11 +215,10 @@ func TestMetricsErrorPaths(t *testing.T) {
 	}
 }
 
-// FuzzMetrics drives OrderingAccuracy, KendallTau, PairwiseAccuracy and
-// Misplaced with arbitrary permutations, holding them to the brute-force
-// references and their invariants: values in range, τ symmetry under
-// argument swap, LIS complement size, and error-free on every valid
-// permutation.
+// FuzzMetrics drives OrderingAccuracy, KendallTau and Misplaced with
+// arbitrary permutations, holding them to the brute-force references and
+// their invariants: values in range, τ symmetry under argument swap, LIS
+// complement size, and error-free on every valid permutation.
 func FuzzMetrics(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 4, 5})
 	f.Add([]byte{5, 4, 3, 2, 1})
@@ -266,10 +257,6 @@ func FuzzMetrics(f *testing.F) {
 		rev, err := KendallTau(want, got)
 		if err != nil || math.Abs(rev-tau) > 1e-12 {
 			t.Fatalf("tau asymmetric: %v vs %v (%v)", tau, rev, err)
-		}
-		pa, err := PairwiseAccuracy(got, want)
-		if err != nil || math.Abs(pa-(tau+1)/2) > 1e-12 {
-			t.Fatalf("pairwise %v, want (τ+1)/2 of %v (%v)", pa, tau, err)
 		}
 		flagged, err := Misplaced(got, want)
 		if err != nil {

@@ -92,17 +92,6 @@ func KendallTau(got, want []epcgen2.EPC) (float64, error) {
 	return float64(concordant-discordant) / float64(total), nil
 }
 
-// PairwiseAccuracy is the fraction of tag pairs ordered consistently with
-// the truth — a smoother companion to Equation 2 that does not collapse to
-// zero when a single early mistake shifts every later position.
-func PairwiseAccuracy(got, want []epcgen2.EPC) (float64, error) {
-	tau, err := KendallTau(got, want)
-	if err != nil {
-		return 0, err
-	}
-	return (tau + 1) / 2, nil
-}
-
 // Misplaced identifies the out-of-order elements of a detected sequence
 // relative to a catalog order: the elements NOT in a longest increasing
 // subsequence of catalog positions. For a shelf scan, these are the books

@@ -75,16 +75,6 @@ func TestKendallTau(t *testing.T) {
 	}
 }
 
-func TestPairwiseAccuracy(t *testing.T) {
-	w := epcs(1, 2, 3, 4)
-	if pa, _ := PairwiseAccuracy(w, w); pa != 1 {
-		t.Errorf("identity pairwise = %v", pa)
-	}
-	if pa, _ := PairwiseAccuracy(epcs(4, 3, 2, 1), w); pa != 0 {
-		t.Errorf("reversed pairwise = %v", pa)
-	}
-}
-
 func TestMisplacedNone(t *testing.T) {
 	cat := epcs(1, 2, 3, 4, 5)
 	flagged, err := Misplaced(cat, cat)

@@ -3,7 +3,6 @@ package metrics
 import (
 	"math"
 	"math/rand"
-	"strings"
 	"sync"
 	"testing"
 
@@ -15,86 +14,6 @@ func epcOf(n int) epcgen2.EPC {
 	e[0] = byte(n >> 8)
 	e[1] = byte(n)
 	return e
-}
-
-func epcSeq(ns ...int) []epcgen2.EPC {
-	out := make([]epcgen2.EPC, len(ns))
-	for i, n := range ns {
-		out[i] = epcOf(n)
-	}
-	return out
-}
-
-// TestOrderDeltaProperties pins the contract the adaptive publish cadence
-// depends on: zero exactly for identical duplicate-free orders, symmetry,
-// and the [0, 1] bound — across random permutations, prefixes and
-// disjoint sets.
-func TestOrderDeltaProperties(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	randPerm := func(n int) []epcgen2.EPC {
-		out := make([]epcgen2.EPC, n)
-		for i, p := range rng.Perm(n) {
-			out[i] = epcOf(p)
-		}
-		return out
-	}
-	for trial := 0; trial < 200; trial++ {
-		n := rng.Intn(12)
-		a := randPerm(n)
-		var b []epcgen2.EPC
-		switch trial % 4 {
-		case 0: // permutation of the same set
-			b = randPerm(n)
-		case 1: // identical
-			b = append([]epcgen2.EPC(nil), a...)
-		case 2: // prefix (tags disappeared)
-			b = append([]epcgen2.EPC(nil), a[:rng.Intn(n+1)]...)
-		case 3: // disjoint set
-			b = make([]epcgen2.EPC, rng.Intn(6))
-			for i := range b {
-				b[i] = epcOf(1000 + i)
-			}
-		}
-		ab, ba := OrderDelta(a, b), OrderDelta(b, a)
-		if ab != ba {
-			t.Fatalf("trial %d: not symmetric: %v vs %v", trial, ab, ba)
-		}
-		if ab < 0 || ab > 1 || math.IsNaN(ab) {
-			t.Fatalf("trial %d: out of [0,1]: %v", trial, ab)
-		}
-		identical := len(a) == len(b)
-		for i := 0; identical && i < len(a); i++ {
-			identical = a[i] == b[i]
-		}
-		if identical && ab != 0 {
-			t.Fatalf("trial %d: identical orders, delta %v", trial, ab)
-		}
-		if !identical && ab == 0 {
-			t.Fatalf("trial %d: different orders %v vs %v, delta 0", trial, a, b)
-		}
-	}
-}
-
-func TestOrderDeltaCases(t *testing.T) {
-	cases := []struct {
-		name string
-		a, b []epcgen2.EPC
-		want float64
-	}{
-		{"both empty", nil, nil, 0},
-		{"single same", epcSeq(1), epcSeq(1), 0},
-		{"single different", epcSeq(1), epcSeq(2), 1},
-		{"swap", epcSeq(1, 2), epcSeq(2, 1), 1},
-		{"reversal", epcSeq(1, 2, 3), epcSeq(3, 2, 1), 1},
-		{"one inversion of three", epcSeq(1, 2, 3), epcSeq(1, 3, 2), 1.0 / 3},
-		{"appended tag", epcSeq(1, 2), epcSeq(1, 2, 3), 2.0 / 3},
-		{"disjoint", epcSeq(1, 2), epcSeq(3, 4), 1},
-	}
-	for _, tc := range cases {
-		if got := OrderDelta(tc.a, tc.b); math.Abs(got-tc.want) > 1e-12 {
-			t.Errorf("%s: OrderDelta = %v, want %v", tc.name, got, tc.want)
-		}
-	}
 }
 
 // TestKendallTauProperties is the rank-correlation companion check: τ = 1
@@ -181,68 +100,5 @@ func TestHistogramConcurrent(t *testing.T) {
 	}
 	if math.Abs(sum-8*1000*2) > 1e-6 { // mean of 0..4 is 2
 		t.Fatalf("sum %v, want 16000", sum)
-	}
-}
-
-func TestPromWriterLintClean(t *testing.T) {
-	w := &PromWriter{}
-	w.Counter("test_reads_total", "Reads accepted.")
-	w.Value(42)
-	w.Gauge("test_queue_depth", "Current queue depth per session.")
-	w.ValueL(3, "session", "s000001")
-	w.ValueL(9, "session", "s000002")
-	h := NewHistogram(0.001, 0.01, 0.1)
-	h.Observe(0.005)
-	h.Observe(2)
-	w.Histogram("test_latency_seconds", "Latency.", h)
-	w.Gauge("test_uptime_seconds", `has "quotes" and \slashes`)
-	w.Value(1.5)
-	body, err := w.Bytes()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := LintProm(body); err != nil {
-		t.Fatalf("lint: %v\n%s", err, body)
-	}
-	for _, want := range []string{
-		"# TYPE test_reads_total counter",
-		"# TYPE test_latency_seconds histogram",
-		`test_queue_depth{session="s000001"} 3`,
-		`test_latency_seconds_bucket{le="+Inf"} 2`,
-		"test_latency_seconds_count 2",
-	} {
-		if !strings.Contains(string(body), want) {
-			t.Errorf("exposition missing %q:\n%s", want, body)
-		}
-	}
-}
-
-func TestLintPromRejects(t *testing.T) {
-	cases := []struct {
-		name, body string
-	}{
-		{"sample before TYPE", "foo 1\n"},
-		{"duplicate series", "# TYPE foo counter\nfoo 1\nfoo 2\n"},
-		{"duplicate TYPE", "# TYPE foo counter\n# TYPE foo counter\nfoo 1\n"},
-		{"unknown type", "# TYPE foo whatever\nfoo 1\n"},
-		{"negative counter", "# TYPE foo counter\nfoo -1\n"},
-		{"bad value", "# TYPE foo gauge\nfoo abc\n"},
-		{"bad label name", "# TYPE foo gauge\nfoo{0bad=\"x\"} 1\n"},
-		{"unterminated label", "# TYPE foo gauge\nfoo{a=\"x} 1\n"},
-		{"interleaved families", "# TYPE a gauge\n# TYPE b gauge\na 1\nb 2\na 3\n"},
-		{"bucket without le", "# TYPE h histogram\nh_bucket 1\nh_sum 1\nh_count 1\n"},
-		{"missing inf bucket", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n"},
-		{"decreasing buckets", "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n"},
-		{"inf bucket != count", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n"},
-		{"missing sum", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n"},
-		{"missing count", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\n"},
-	}
-	for _, tc := range cases {
-		if err := LintProm([]byte(tc.body)); err == nil {
-			t.Errorf("%s: lint accepted\n%s", tc.name, tc.body)
-		}
-	}
-	if err := LintProm([]byte("# TYPE ok gauge\nok{a=\"b\",c=\"d\"} 1\nok 2\n\n# free comment\n")); err != nil {
-		t.Errorf("clean body rejected: %v", err)
 	}
 }

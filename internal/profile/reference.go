@@ -154,19 +154,3 @@ func (p *Profile) VZoneBottomTime(start, end int) float64 {
 	}
 	return p.Times[best]
 }
-
-// CountPeriods counts the phase periods in a profile: the number of
-// wrap discontinuities plus one. Used by the deployment-calibration study
-// (97% of measured profiles contain 4 periods at 30 cm).
-func (p *Profile) CountPeriods() int {
-	if p.Len() == 0 {
-		return 0
-	}
-	wraps := 0
-	for i := 1; i < p.Len(); i++ {
-		if math.Abs(p.Phases[i]-p.Phases[i-1]) > math.Pi {
-			wraps++
-		}
-	}
-	return wraps + 1
-}

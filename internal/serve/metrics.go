@@ -86,12 +86,6 @@ func (s *Server) PromMetrics() ([]byte, error) {
 	w.Value(float64(st.Snapshots))
 	w.Histogram("stppd_snapshot_latency_seconds",
 		"Engine snapshot latency (localize + stitch + publish).", s.metrics.SnapshotLatency)
-	w.Counter("stppd_publishes_damped_total",
-		"Periodic publishes whose order delta stayed under -publish-min-delta, backing the cadence off.")
-	w.Value(float64(st.PublishesDamped))
-	w.Counter("stppd_publishes_forced_total",
-		"Publishes forced by the -publish-max-staleness floor while the cadence was backed off.")
-	w.Value(float64(st.PublishesForced))
 
 	w.Counter("stppd_wal_appends_total", "Journal appends (batches, finish markers, checkpoints).")
 	w.Value(float64(st.WALAppends))

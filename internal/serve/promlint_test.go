@@ -1,13 +1,24 @@
-package metrics
+package serve
 
 import (
 	"fmt"
 	"math"
+	"regexp"
 	"strconv"
 	"strings"
+	"testing"
+
+	prom "repro/internal/metrics"
 )
 
-// LintProm validates a Prometheus text-format (0.0.4) exposition body the
+// The exposition format's name grammars, written out independently of
+// the writer's own checks so the linter does not share its mistakes.
+var (
+	metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)
+	labelNameRE  = regexp.MustCompile(`^[a-zA-Z_][a-zA-Z0-9_]*$`)
+)
+
+// lintProm validates a Prometheus text-format (0.0.4) exposition body the
 // way `promtool check metrics` would, without the external binary. It
 // enforces the structural rules a scraper depends on:
 //
@@ -22,7 +33,7 @@ import (
 //     bucket equals _count
 //
 // It returns nil for a clean body and the first violation otherwise.
-func LintProm(data []byte) error {
+func lintProm(data []byte) error {
 	type family struct {
 		typ     string
 		help    bool
@@ -66,7 +77,7 @@ func LintProm(data []byte) error {
 				continue // free-form comment
 			}
 			name := fields[2]
-			if !metricNameOK(name) {
+			if !metricNameRE.MatchString(name) {
 				return fmt.Errorf("line %d: bad metric name %q in %s", lineNo, name, fields[1])
 			}
 			f := get(name)
@@ -234,7 +245,7 @@ func parseSample(line string) (name string, labels [][2]string, value float64, e
 		return "", nil, 0, fmt.Errorf("malformed sample %q", line)
 	}
 	name = rest[:i]
-	if !metricNameOK(name) {
+	if !metricNameRE.MatchString(name) {
 		return "", nil, 0, fmt.Errorf("bad metric name %q", name)
 	}
 	if rest[i] == '{' {
@@ -250,7 +261,7 @@ func parseSample(line string) (name string, labels [][2]string, value float64, e
 				return "", nil, 0, fmt.Errorf("malformed labels in %q", line)
 			}
 			lname := strings.TrimSpace(rest[:eq])
-			if !labelNameOK(lname) {
+			if !labelNameRE.MatchString(lname) {
 				return "", nil, 0, fmt.Errorf("bad label name %q", lname)
 			}
 			rest = rest[eq+1:]
@@ -333,4 +344,67 @@ func canonLabels(labels [][2]string) string {
 		}
 	}
 	return strings.Join(parts, ",")
+}
+
+func TestPromWriterLintClean(t *testing.T) {
+	w := &prom.PromWriter{}
+	w.Counter("test_reads_total", "Reads accepted.")
+	w.Value(42)
+	w.Gauge("test_queue_depth", "Current queue depth per session.")
+	w.ValueL(3, "session", "s000001")
+	w.ValueL(9, "session", "s000002")
+	h := prom.NewHistogram(0.001, 0.01, 0.1)
+	h.Observe(0.005)
+	h.Observe(2)
+	w.Histogram("test_latency_seconds", "Latency.", h)
+	w.Gauge("test_uptime_seconds", `has "quotes" and \slashes`)
+	w.Value(1.5)
+	body, err := w.Bytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lintProm(body); err != nil {
+		t.Fatalf("lint: %v\n%s", err, body)
+	}
+	for _, want := range []string{
+		"# TYPE test_reads_total counter",
+		"# TYPE test_latency_seconds histogram",
+		`test_queue_depth{session="s000001"} 3`,
+		`test_latency_seconds_bucket{le="+Inf"} 2`,
+		"test_latency_seconds_count 2",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("exposition missing %q:\n%s", want, body)
+		}
+	}
+}
+
+func TestLintPromRejects(t *testing.T) {
+	cases := []struct {
+		name, body string
+	}{
+		{"sample before TYPE", "foo 1\n"},
+		{"duplicate series", "# TYPE foo counter\nfoo 1\nfoo 2\n"},
+		{"duplicate TYPE", "# TYPE foo counter\n# TYPE foo counter\nfoo 1\n"},
+		{"unknown type", "# TYPE foo whatever\nfoo 1\n"},
+		{"negative counter", "# TYPE foo counter\nfoo -1\n"},
+		{"bad value", "# TYPE foo gauge\nfoo abc\n"},
+		{"bad label name", "# TYPE foo gauge\nfoo{0bad=\"x\"} 1\n"},
+		{"unterminated label", "# TYPE foo gauge\nfoo{a=\"x} 1\n"},
+		{"interleaved families", "# TYPE a gauge\n# TYPE b gauge\na 1\nb 2\na 3\n"},
+		{"bucket without le", "# TYPE h histogram\nh_bucket 1\nh_sum 1\nh_count 1\n"},
+		{"missing inf bucket", "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n"},
+		{"decreasing buckets", "# TYPE h histogram\nh_bucket{le=\"1\"} 5\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 3\n"},
+		{"inf bucket != count", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\nh_count 4\n"},
+		{"missing sum", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_count 3\n"},
+		{"missing count", "# TYPE h histogram\nh_bucket{le=\"+Inf\"} 3\nh_sum 1\n"},
+	}
+	for _, tc := range cases {
+		if err := lintProm([]byte(tc.body)); err == nil {
+			t.Errorf("%s: lint accepted\n%s", tc.name, tc.body)
+		}
+	}
+	if err := lintProm([]byte("# TYPE ok gauge\nok{a=\"b\",c=\"d\"} 1\nok 2\n\n# free comment\n")); err != nil {
+		t.Errorf("clean body rejected: %v", err)
+	}
 }

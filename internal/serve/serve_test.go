@@ -496,7 +496,10 @@ func getJSON(t *testing.T, ts *httptest.Server, path string, wantStatus int, out
 // depth-1 queue that never coalesces to a deep backlog the drain absorbs
 // in one engine call — under different publish cadences must all land on
 // the byte-identical final orders of the offline sharded replay. The
-// coalesced consume schedule is allowed to differ; the results are not.
+// coalesced consume schedule is allowed to differ; the results are not,
+// and neither is the number of snapshots: coalescing stops at each
+// publish boundary, so a fixed cadence publishes exactly as often as the
+// un-coalesced per-batch schedule would.
 func TestCoalescingEquivalenceProperty(t *testing.T) {
 	tr, want, opts := aisleTrace(t, 9)
 	rng := rand.New(rand.NewSource(41))
@@ -511,6 +514,10 @@ func TestCoalescingEquivalenceProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The per-batch schedule publishes once every PublishEvery reads
+		// counted from the previous publish (never when it is 0); the
+		// final snapshot adds one.
+		wantSnaps, since := int64(1), 0
 		for pos := 0; pos < len(tr.Reads); {
 			n := 1 + rng.Intn(120)
 			if pos+n > len(tr.Reads) {
@@ -520,10 +527,20 @@ func TestCoalescingEquivalenceProperty(t *testing.T) {
 				t.Fatalf("trial %d: enqueue at %d: %v", trial, pos, err)
 			}
 			pos += n
+			if pe := o.PublishEvery; pe > 0 {
+				if since += n; since >= pe {
+					wantSnaps++
+					since = 0
+				}
+			}
 		}
 		snap, err := sess.Finish()
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
+		}
+		if got := srv.Metrics().Snapshots.Load(); got != wantSnaps {
+			t.Errorf("trial %d (queue=%d publish=%d): %d snapshots, want %d from the per-batch schedule",
+				trial, queues[trial], cadence[trial], got, wantSnaps)
 		}
 		if !reflect.DeepEqual(snap.Result.XOrder, want.XOrder) {
 			t.Errorf("trial %d (queue=%d publish=%d): X order diverged:\n  live    %v\n  offline %v",

@@ -183,7 +183,6 @@ type Log struct {
 	seg  int   // current segment index
 	size int64 // bytes in the current segment
 
-	appends int64 // records appended by this process
 	bytes   int64 // bytes appended by this process
 	batches int64 // batch records appended by this log instance
 	closed  bool
@@ -585,7 +584,6 @@ func (l *Log) appendLocked(typ byte, payload []byte) error {
 	l.size += n
 	l.bytes += n
 	totalBytes.Add(n)
-	l.appends++
 	return nil
 }
 
@@ -646,14 +644,8 @@ func (l *Log) Close() error {
 // Dir returns the log's directory.
 func (l *Log) Dir() string { return l.dir }
 
-// Appends and Bytes report what this process appended (recovered records
-// are not counted); Segments is the current segment index.
-func (l *Log) Appends() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.appends
-}
-
+// Bytes reports the record bytes this process appended (recovered
+// records are not counted); Segments is the current segment index.
 func (l *Log) Bytes() int64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -8,13 +8,14 @@ PR := 10
 # cold 16-tag detection pass (BlockedDetect: the name predates the
 # removal of the interleaved fill; it now times LocalizeTagIncremental
 # per tag), the segment-DTW kernel (whole alignment and isolated column
-# fill), the WAL append/recovery paths,
-# checkpointed-recovery flatness and group-commit throughput, the
+# fill), the WAL append/recovery paths, multi-session boot recovery
+# (RecoverAll: recorded, not gated), checkpointed-recovery flatness
+# and group-commit throughput, the
 # endless-stream lifecycle flatness, and the serve layer at a tight
 # fixed publish cadence (AdaptiveCadence/cadence=fixed: the name
 # predates the removal of the change-driven cadence it was compared
 # with).
-BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkIngestBody|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream|BenchmarkAdaptiveCadence
+BENCH_PATTERN := BenchmarkSnapshotCadence|BenchmarkStreamingVsBatch|BenchmarkDaemonIngest|BenchmarkIngestBody|BenchmarkBlockedDetect|BenchmarkShardedAisle|BenchmarkSegmentedAlign|BenchmarkSegmentFill|BenchmarkWALAppend|BenchmarkRecovery|BenchmarkRecoverAll|BenchmarkCheckpointedRecovery|BenchmarkWALGroupCommit|BenchmarkEndlessStream|BenchmarkAdaptiveCadence
 
 # The regression gate: fail the bench step if any of these benchmarks'
 # reads/s drops more than 15% against the committed pre-PR baseline.

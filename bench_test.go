@@ -678,6 +678,70 @@ func BenchmarkCheckpointedRecovery(b *testing.B) {
 	}
 }
 
+// BenchmarkRecoverAll measures a cold boot over a data dir holding several
+// sessions: 2 checkpointed live aisle sessions and 6 finished ones. Every
+// session's log scan, checkpoint restore and replay is one scheduler task,
+// so on more than one core the boot takes less than the sum of the
+// per-session recoveries.
+func BenchmarkRecoverAll(b *testing.B) {
+	ms, err := scenario.WarehouseAisle(scenario.DefaultAisleOpts(1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	reads, err := ms.Run()
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts := serve.Options{
+		Config:          ms.Readers[0].Scene.STPPConfig(),
+		DataDir:         b.TempDir(),
+		Fsync:           wal.SyncNever,
+		CheckpointEvery: 2000,
+	}
+	srv, err := serve.New(opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	const live, finished = 2, 6
+	for i := 0; i < live+finished; i++ {
+		sess, err := srv.CreateSession(trace.Header{Readers: ms.ReaderMetas()})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for start := 0; start < len(reads); start += 256 {
+			if err := sess.Enqueue(reads[start:min(start+256, len(reads))]); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if i < live {
+			// Live sessions journal their cadence checkpoints as the
+			// consumer drains; wait it out so the image holds them.
+			for sess.Consumed() != sess.Enqueued() {
+				time.Sleep(100 * time.Microsecond)
+			}
+		} else if _, err := sess.Finish(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	total := int64(len(reads)) * (live + finished)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		booted, err := serve.New(opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m := booted.Metrics()
+		if got := m.ReadsRecovered.Load(); got != total {
+			b.Fatalf("recovered %d reads, want %d", got, total)
+		}
+		if m.SessionsRecovered.Load() != live+finished || m.SuffixReadsReplayed.Load() >= total {
+			b.Fatalf("recovered %d sessions replaying %d reads; want %d sessions and checkpoint restores",
+				m.SessionsRecovered.Load(), m.SuffixReadsReplayed.Load(), live+finished)
+		}
+	}
+	b.ReportMetric(float64(total)*float64(b.N)/b.Elapsed().Seconds(), "reads/s")
+}
+
 // --- the tag lifecycle: endless belts in bounded memory ---
 
 // endlessBelt builds a conveyor-churn read log of n tags at fixed

@@ -151,7 +151,7 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 		handler = mux
 	}
-	hs := &http.Server{Handler: handler}
+	hs := newHTTPServer(handler, readHeaderTimeout, idleTimeout)
 	done := make(chan error, 1)
 	go func() { done <- hs.Serve(ln) }()
 
@@ -167,6 +167,21 @@ func main() {
 		defer cancel()
 		hs.Shutdown(ctx)
 	}
+}
+
+// Connection timeouts. A client has readHeaderTimeout to deliver its
+// request headers, and a keep-alive connection idle for idleTimeout is
+// closed, so slow or abandoned connections cannot pile up. Bodies have no
+// deadline: a reads POST may stay open as long as backpressure holds it.
+const (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 120 * time.Second
+)
+
+// newHTTPServer builds the daemon's HTTP server with the given header-read
+// and keep-alive idle timeouts.
+func newHTTPServer(h http.Handler, header, idle time.Duration) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: header, IdleTimeout: idle}
 }
 
 func fatal(err error) {

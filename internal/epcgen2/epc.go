@@ -44,7 +44,12 @@ func RandomEPC(rng *rand.Rand) EPC {
 
 // String renders the EPC as uppercase hex, the conventional EPC notation.
 func (e EPC) String() string {
-	return strings.ToUpper(hex.EncodeToString(e[:]))
+	const digits = "0123456789ABCDEF"
+	var b [2 * len(e)]byte
+	for i, c := range e {
+		b[2*i], b[2*i+1] = digits[c>>4], digits[c&0xf]
+	}
+	return string(b[:])
 }
 
 // ParseEPC parses the hex form produced by String.

@@ -1,8 +1,10 @@
 package epcgen2
 
 import (
+	"encoding/hex"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -19,6 +21,32 @@ func TestEPCRoundTrip(t *testing.T) {
 	}
 	if back != e {
 		t.Errorf("round trip mismatch: %v != %v", back, e)
+	}
+}
+
+// TestEPCStringMatchesHex pins String byte for byte to the uppercase
+// encoding/hex rendering, over random EPCs and both extreme bit patterns,
+// and pins its cost to the one allocation of the returned string.
+func TestEPCStringMatchesHex(t *testing.T) {
+	var ones EPC
+	for i := range ones {
+		ones[i] = 0xff
+	}
+	epcs := []EPC{{}, ones}
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1000; i++ {
+		var e EPC
+		rng.Read(e[:])
+		epcs = append(epcs, e)
+	}
+	for _, e := range epcs {
+		if got, want := e.String(), strings.ToUpper(hex.EncodeToString(e[:])); got != want {
+			t.Fatalf("% x: String() = %q, want %q", e[:], got, want)
+		}
+	}
+	var sink string
+	if n := testing.AllocsPerRun(100, func() { sink = epcs[2].String() }); n != 1 || sink == "" {
+		t.Errorf("String allocates %v times, want 1", n)
 	}
 }
 

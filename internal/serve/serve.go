@@ -298,48 +298,41 @@ func (s *Server) walOpts() wal.Options {
 // Each log replays through a fresh engine via the same Consume/Snapshot
 // sequence live ingest runs, so the recovered state is byte-identical to
 // an offline replay of the journaled prefix. Unrecoverable directories
-// (no intact header record) are counted and left on disk for inspection,
-// never deleted.
+// are counted and left on disk for inspection, never deleted.
 //
-// The sweep is two-phase: log scanning and registration run sequentially
-// in name order (deterministic IDs and eviction order), then the replays
-// — the dominant boot cost, independent per session — fan out across
-// sessions on the scheduler, and each session's snapshots fan out again
-// across its shards and tags on the same pool, so restart latency does
-// not grow as the sum of every retained session's full replay. Replay
-// feeds batches straight into the engine rather than through Enqueue: no
-// producer exists yet, and a scheduler task must never block on a
-// bounded queue whose drain needs a worker.
+// Each session's whole recovery — log scan and batch decode, checkpoint
+// restore, suffix replay — is one scheduler task, fanned out across
+// sessions (its snapshots fan out again across shards and tags). IDs are
+// reserved before the tasks run and sessions registered after them, both
+// in name order, so IDs, eviction order and stats match a one-by-one
+// sweep. Replay bypasses Enqueue: no producer exists yet, and a scheduler
+// task must never block on a bounded queue whose drain needs a worker.
 func (s *Server) recoverAll() error {
 	names, err := wal.Sessions(s.opts.DataDir)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
 	}
-	type pending struct {
-		sess *Session
-		rec  *wal.Recovered
-		log  *wal.Log
-	}
-	var replays []pending
 	for _, name := range names {
-		dir := filepath.Join(s.opts.DataDir, name)
 		// Every session directory reserves its number — including damaged
 		// ones that stay on disk unrecovered — so fresh sessions never
-		// collide with a directory already there. (New runs before any
-		// producer can reach the server, so nextID needs no lock here.)
+		// collide with a directory already there.
 		var n int64
 		if _, err := fmt.Sscanf(name, "s%d", &n); err == nil && n > s.nextID {
 			s.nextID = n
 		}
+	}
+	recovered := make([]*Session, len(names))
+	s.sched.For(nil, 0, len(names), func(i int) {
+		dir := filepath.Join(s.opts.DataDir, names[i])
 		rec, log, err := wal.Recover(dir, s.walOpts())
 		if err != nil {
 			s.metrics.WALSkipped.Add(1)
-			continue
+			return
 		}
 		if rec.Torn {
 			s.metrics.WALTornTails.Add(1)
 		}
-		sess, err := newSession(name, s, rec.Header)
+		sess, err := newSession(names[i], s, rec.Header)
 		if err != nil {
 			// A header that no longer builds an engine (config drift since
 			// the log was written): skip, keep the log.
@@ -347,27 +340,26 @@ func (s *Server) recoverAll() error {
 				log.Close()
 			}
 			s.metrics.WALSkipped.Add(1)
-			continue
+			return
 		}
 		sess.walDir = dir
-		s.mu.Lock()
-		s.sessions[name] = sess
-		s.order = append(s.order, name)
-		s.mu.Unlock()
-		// A recovered session enters the registry like a created one (so
-		// SessionsCreated ≥ SessionsFinished always holds); its replayed
-		// reads flow through the ingest counters again — ReadsRecovered
-		// reports how much of that traffic came from the logs.
+		// A recovered session counts as created before its replay can
+		// finish it, and its replayed reads flow through the ingest
+		// counters again; ReadsRecovered says how much came from the logs.
 		s.metrics.SessionsCreated.Add(1)
 		s.metrics.SessionsRecovered.Add(1)
 		s.metrics.ReadsRecovered.Add(rec.CheckpointReads + int64(rec.Reads))
 		s.metrics.SuffixReadsReplayed.Add(int64(rec.Reads))
-		replays = append(replays, pending{sess: sess, rec: rec, log: log})
-	}
-	s.sched.For(nil, 0, len(replays), func(i int) {
-		p := replays[i]
-		p.sess.replay(p.rec, p.log)
+		sess.replay(rec, log)
+		recovered[i] = sess
 	})
+	// New runs before any producer can reach the server: no lock needed.
+	for i, sess := range recovered {
+		if sess != nil {
+			s.sessions[names[i]] = sess
+			s.order = append(s.order, names[i])
+		}
+	}
 	return nil
 }
 

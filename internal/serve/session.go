@@ -784,10 +784,13 @@ func (s *Session) terminate() {
 // offline replay of the full journaled prefix. Replayed reads flow
 // through the ingest/consume counters like live traffic; ReadsRecovered
 // (bumped by the caller) reports how much of that came from the logs.
+// rec drops the checkpoint (a whole segment buffer) and each batch once
+// consumed, so the GC reclaims them while other sessions still recover.
 func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 	failed := false
-	if rec.Checkpoint != nil {
-		if err := s.eng.Restore(rec.Checkpoint); err != nil {
+	if ck := rec.Checkpoint; ck != nil {
+		rec.Checkpoint = nil
+		if err := s.eng.Restore(ck); err != nil {
 			// A checkpoint that no longer restores (config drift since it
 			// was written): the session dies holding the error, exactly
 			// like a journaled batch the engine rejects. Replaying the
@@ -803,10 +806,9 @@ func (s *Session) replay(rec *wal.Recovered, log *wal.Log) {
 			s.srv.metrics.ReadsConsumed.Add(n)
 		}
 	}
-	for _, batch := range rec.Batches {
-		if failed {
-			break
-		}
+	for i := 0; !failed && i < len(rec.Batches); i++ {
+		batch := rec.Batches[i]
+		rec.Batches[i] = nil
 		n := int64(len(batch))
 		s.enqueued.Add(n)
 		s.srv.metrics.ReadsIngested.Add(n)

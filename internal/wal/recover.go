@@ -30,7 +30,8 @@ type Recovered struct {
 	Header trace.Header
 	// Checkpoint is the serialized engine state from the latest valid
 	// checkpoint record, nil if the log holds none. When set, restoring it
-	// and replaying Batches reproduces the full session state.
+	// and replaying Batches reproduces the full session state. It aliases
+	// the whole segment buffer the record was read from: drop it once used.
 	Checkpoint []byte
 	// CheckpointReads is the read count already folded into Checkpoint;
 	// the session's total is CheckpointReads + Reads.
@@ -164,7 +165,7 @@ scan:
 					break scan
 				}
 				rec.Header = h
-				rec.Checkpoint = append(rec.Checkpoint[:0], state...)
+				rec.Checkpoint = state
 				rec.CheckpointReads = reads
 				headerJSON = append(headerJSON[:0], hj...)
 				// The survivors are always a suffix of this checkpoint's
